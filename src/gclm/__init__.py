@@ -10,7 +10,7 @@ as oracles, complex-singularity tracking from Fourier decay and rational
 approximation, collapse-exponent fitting, and a run harness.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from gclm.spectral import Domain, GclmParams, NormReport, SpectralField
 from gclm.dynamics import RunControls, SimState, TimeSeries, TerminalStatus, simulate

@@ -18,9 +18,8 @@ from gclm.spectral import (
     Domain,
     GclmParams,
     SpectralField,
-    c_omega_q,
     norms,
-    velocity_line,
+    operators,
 )
 
 __all__ = [
@@ -87,55 +86,39 @@ class Rhs:
         self.domain = domain
         self.params = params
         self.n = grid_size
-        m = 2 * grid_size
-        self.k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-        self.phase = np.where(self.k % 2 == 0, 1.0, -1.0)
-        self.hilbert_sym = -1j * np.sign(self.k)
-        self.ik = 1j * self.k.astype(float)
-        kabs = np.abs(self.k).astype(float)
-        self.lam = kabs**params.sigma if params.sigma > 0 else np.ones(m)
-        with np.errstate(divide="ignore"):
-            self.u_sym = np.where(self.k != 0, -1.0 / np.where(kabs == 0, 1.0, kabs), 0.0)
-        if domain is Domain.LINE:
-            q = -np.pi + 2.0 * np.pi * np.arange(m) / m
-            self.jac = 1.0 + np.cos(q)
-
-    def _phys(self, c: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(c * self.phase).real * c.size
-
-    def _spec(self, v: np.ndarray) -> np.ndarray:
-        return np.fft.fft(v) / v.size * self.phase
-
-    def _diss_line(self, c: np.ndarray) -> np.ndarray:
-        """One application of (1 + cos q) d_q H^q in coefficient space."""
-        return self._spec(self.jac * self._phys(self.ik * self.hilbert_sym * c))
+        self.ops = operators(grid_size, domain)
+        #: circle dissipation symbol nu |k|^sigma (0**0 = 1, so sigma = 0
+        #: damps the mean too)
+        self.diss = params.nu * self.ops.kabs**params.sigma
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
-        p = self.params
-        w = self._phys(c)
-        hw = self._phys(self.hilbert_sym * c)
+        p, ops = self.params, self.ops
+        w = ops.phys(c)
+        hw = ops.phys(ops.hilbert * c)
         if self.domain is Domain.CIRCLE:
             nl = (w + p.omega_av) * hw
             if p.a != 0.0:
-                u = self._phys(self.u_sym * c)
-                wx = self._phys(self.ik * c)
+                u = ops.phys(ops.velocity * c)
+                wx = ops.phys(ops.ik * c)
                 nl = nl - p.a * u * wx
-            nl_hat = self._spec(nl)
+            nl_hat = ops.spec(nl)
             nl_hat[0] = 0.0  # exact mean conservation
-            diss = p.nu * self.lam * c if p.nu != 0.0 else 0.0
-            return nl_hat - diss
+            return nl_hat - self.diss * c if p.nu != 0.0 else nl_hat
         # compactified line
-        cq = c_omega_q(SpectralField(c, Domain.LINE))
-        nl = w * (hw + cq)
+        # (1 + cos q) u_q = H^q w + C[w], and C[w] = -H^q w at node 0 (q = -pi)
+        jac_uq = hw - hw[0]
+        nl = w * jac_uq
         if p.a != 0.0:
-            u = velocity_line(SpectralField(c, Domain.LINE)).values()
-            wq = self._phys(self.ik * c)
-            nl = nl - p.a * self.jac * u * wq
-        out = self._spec(nl)
+            u = ops.line_velocity(jac_uq)
+            wq = ops.phys(ops.ik * c)
+            nl = nl - p.a * ops.jac * u * wq
+        out = ops.spec(nl)
         if p.nu != 0.0:
+            # sigma applications of (1 + cos q) d_q H^q; the symbol of
+            # d_q H^q is ik (-i sgn k) = |k|
             d = c
             for _ in range(int(round(p.sigma))):
-                d = self._diss_line(d)
+                d = ops.spec(ops.jac * ops.phys(ops.kabs * d))
             out = out - p.nu * d
         return out
 
@@ -161,22 +144,22 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs) -> np.ndarray:
 # CFL-based step size
 
 def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
-                dt_max: float = np.inf, rhs: Rhs | None = None) -> float:
+                dt_max: float = np.inf) -> float:
     """Largest stable step from advection, stretching and dissipation rates.
 
     Degenerate pieces (zero coefficient or zero field) impose no limit; a
     zero field returns dt_max.
     """
-    rhs = rhs or Rhs(field.domain, params, field.grid_size)
     c = field.coeffs
     if not np.any(c):
         return dt_max
+    ops = field.ops
     dx = np.pi / field.grid_size
     limits = []
-    hw = rhs._phys(rhs.hilbert_sym * c)
+    hw = ops.phys(ops.hilbert * c)
     if field.domain is Domain.CIRCLE:
         if params.a != 0.0:
-            u = rhs._phys(rhs.u_sym * c)
+            u = ops.phys(ops.velocity * c)
             speed = abs(params.a) * np.max(np.abs(u))
             if speed > 0:
                 limits.append(dx / speed)
@@ -186,13 +169,13 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
         if params.nu > 0:
             limits.append(dx**params.sigma / params.nu)
     else:
-        cq = c_omega_q(field)
-        stretch = np.max(np.abs(hw + cq))  # (1+cos q) u_q
+        jac_uq = hw - hw[0]  # (1 + cos q) u_q
+        stretch = np.max(np.abs(jac_uq))
         if stretch > 0:
             limits.append(1.0 / stretch)
         if params.a != 0.0:
-            u = velocity_line(field).values()
-            speed = abs(params.a) * np.max(np.abs(rhs.jac * u))
+            u = ops.line_velocity(jac_uq)
+            speed = abs(params.a) * np.max(np.abs(ops.jac * u))
             if speed > 0:
                 limits.append(dx / speed)
         if params.nu > 0:
@@ -387,8 +370,7 @@ def simulate(initial: SpectralField, params: GclmParams,
         if state.t >= controls.t_end - 1e-14 * controls.t_end:
             series.terminal_status = TerminalStatus.REACHED_T_END
             return series, state
-        dt = adaptive_dt(state.field, params, controls.cfl, controls.dt_max,
-                         rhs)
+        dt = adaptive_dt(state.field, params, controls.cfl, controls.dt_max)
         dt = min(dt, controls.t_end - state.t)
         if sample_dt and next_sample > state.t:
             dt = min(dt, next_sample - state.t)

@@ -461,8 +461,9 @@ def load_snapshot(name):
     coeffs = rows[:, 0] + 1j * rows[:, 1]   # k = -n .. n-1
     m = 2 * n
     x = -np.pi + 2 * np.pi * np.arange(m) / m
+    # the grid starts at x = -pi: e^{ikx_j} = (-1)^k e^{2 pi i kj/m}
     k = np.arange(-n, n)
-    vals = np.real(coeffs[None, :] * np.exp(1j * k[None, :] * x[:, None])).sum(axis=1)
+    vals = np.fft.ifft(np.fft.ifftshift(coeffs * (-1.0) ** k)).real * m
     return t, n, coeffs, x, vals
 """
 

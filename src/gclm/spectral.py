@@ -1,16 +1,18 @@
-"""Real periodic fields in Fourier representation and the basic symbols.
+"""Real periodic fields in Fourier representation and their operator table.
 
 A field w(x) is stored through its complex Fourier coefficients w_k for
 k = -N..N-1 on the uniform grid x_j = -pi + pi*j/N (2N points). On the
 compactified line the same machinery is used in the variable q, with
-x = tan(q/2).
+x = tan(q/2). Everything that depends only on (N, domain) -- wavenumbers,
+Fourier symbols, grid, line Jacobian and the transforms -- lives in one
+cached :class:`Operators` table, obtained with :func:`operators`.
 """
 
 from __future__ import annotations
 
 import enum
-import io
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,12 +22,9 @@ __all__ = [
     "GclmParams",
     "NormReport",
     "hilbert",
-    "lambda_sigma",
-    "derivative",
     "velocity_from_omega",
     "velocity_line",
     "c_omega_q",
-    "project_zero_mean",
     "norms",
     "write_snapshot",
     "read_snapshot",
@@ -46,6 +45,87 @@ class Domain(enum.Enum):
 def _check_grid_size(n: int) -> None:
     if n < 8 or (n & (n - 1)) != 0:
         raise ValueError(f"grid_size must be a power of two >= 8, got {n}")
+
+
+class Operators:
+    """Wavenumbers, Fourier symbols, grid and transforms for one (N, domain).
+
+    Coefficient arrays are in FFT ordering (k = 0..N-1, -N..-1). Every array
+    is read-only: one table is shared by all fields, right-hand sides and
+    diagnostics at this resolution.
+    """
+
+    def __init__(self, grid_size: int, domain: Domain):
+        _check_grid_size(grid_size)
+        m = 2 * grid_size
+        self.k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+        self.kabs = np.abs(self.k).astype(float)
+        self.ik = 1j * self.k.astype(float)
+        # The grid starts at -pi, so physical<->spectral transforms carry the
+        # phase factor e^{-ik pi} = (-1)^k relative to a plain FFT.
+        self.phase = np.where(self.k % 2 == 0, 1.0, -1.0)
+        #: Hilbert transform -i sgn(k); the mean is annihilated
+        self.hilbert = -1j * np.sign(self.k)
+        #: zero-mean circle velocity u_k = H(w)_k / (ik) = -w_k / |k|
+        self.velocity = np.divide(-1.0, self.kabs, out=np.zeros(m),
+                                  where=self.k != 0)
+        #: collocation nodes x_j (or q_j on the line) in [-pi, pi)
+        self.grid = -np.pi + 2.0 * np.pi * np.arange(m) / m
+        #: top TAIL_BAND_FRACTION of wavenumbers
+        self.tail = self.kabs >= (1.0 - TAIL_BAND_FRACTION) * grid_size
+        arrays = [self.k, self.kabs, self.ik, self.phase, self.hilbert,
+                  self.velocity, self.grid, self.tail]
+        if domain is Domain.LINE:
+            #: dx/dq = 1 / (1 + cos q); it vanishes at the node q = -pi
+            self.jac = 1.0 + np.cos(self.grid)
+            self.singular = self.jac < EPS_JACOBIAN
+            arrays += [self.jac, self.singular]
+        for a in arrays:
+            a.setflags(write=False)
+
+    def phys(self, c: np.ndarray) -> np.ndarray:
+        """Grid values of the real field with coefficients c."""
+        return np.fft.ifft(c * self.phase).real * c.size
+
+    def spec(self, v: np.ndarray) -> np.ndarray:
+        """Coefficients of the grid values v."""
+        return np.fft.fft(v) / v.size * self.phase
+
+    def over_jacobian(self, v: np.ndarray) -> np.ndarray:
+        """v / (1 + cos q) on the line grid, with the singular node at
+        q = -pi filled by 4th-order symmetric interpolation from its
+        periodic neighbours (the node is isolated)."""
+        out = np.divide(v, self.jac, out=np.zeros_like(v),
+                        where=~self.singular)
+        m = out.size
+        for j in np.nonzero(self.singular)[0]:
+            f1 = out[(j + 1) % m] + out[(j - 1) % m]
+            f2 = out[(j + 2) % m] + out[(j - 2) % m]
+            out[j] = (4.0 * f1 - f2) / 6.0
+        return out
+
+    def line_velocity(self, jac_uq: np.ndarray) -> np.ndarray:
+        """Grid values of the line velocity from those of (1 + cos q) u_q.
+
+        The caller passes jac_uq = H^q w + C[w] = H^q w - H^q w(-pi) (see
+        :func:`c_omega_q`). The quotient is formed in physical space and
+        u is obtained by spectral integration with the constant fixed so
+        u(+-pi) = 0 (u vanishes at x = +-infinity, matching the exact
+        solutions).
+        """
+        uq_hat = self.spec(self.over_jacobian(jac_uq))
+        u = self.phys(np.divide(uq_hat, self.ik, out=np.zeros_like(uq_hat),
+                                where=self.k != 0))
+        return u - u[0]  # grid node 0 is q = -pi
+
+
+@functools.lru_cache(maxsize=32)
+def operators(grid_size: int, domain: Domain, /) -> Operators:
+    """The shared operator table of grid size N on the given domain.
+
+    Positional-only, so that every call hits the same cache key.
+    """
+    return Operators(grid_size, domain)
 
 
 @dataclass
@@ -75,40 +155,33 @@ class SpectralField:
     def n_points(self) -> int:
         return self.coeffs.size
 
+    @property
+    def ops(self) -> Operators:
+        """The operator table of this field's grid size and domain."""
+        return operators(self.grid_size, self.domain)
+
     def wavenumbers(self) -> np.ndarray:
-        m = self.coeffs.size
-        return np.fft.fftfreq(m, d=1.0 / m).astype(int)
+        return self.ops.k
 
     def grid(self) -> np.ndarray:
         """Collocation nodes x_j (or q_j on the line) in [-pi, pi)."""
-        m = self.coeffs.size
-        return -np.pi + 2.0 * np.pi * np.arange(m) / m
-
-    # The grid starts at -pi, so physical<->spectral transforms carry the
-    # phase factor e^{-ik pi} = (-1)^k relative to a plain FFT.
-    def _phase(self) -> np.ndarray:
-        return np.where(self.wavenumbers() % 2 == 0, 1.0, -1.0)
+        return self.ops.grid
 
     def values(self) -> np.ndarray:
-        m = self.coeffs.size
-        v = np.fft.ifft(self.coeffs * self._phase()) * m
-        return v.real
+        return self.ops.phys(self.coeffs)
 
     @classmethod
     def from_grid(cls, values, domain: Domain = Domain.CIRCLE) -> "SpectralField":
         values = np.asarray(values, dtype=float)
-        m = values.size
-        f = cls(np.zeros(m, dtype=complex), domain)
-        f.coeffs = np.fft.fft(values) / m * f._phase()
+        f = cls(values, domain)  # validates the size
+        f.coeffs = f.ops.spec(values)
         f.symmetrize()
         return f
 
     @classmethod
     def from_function(cls, func, grid_size: int,
                       domain: Domain = Domain.CIRCLE) -> "SpectralField":
-        _check_grid_size(grid_size)
-        x = -np.pi + np.pi * np.arange(2 * grid_size) / grid_size
-        return cls.from_grid(func(x), domain)
+        return cls.from_grid(func(operators(grid_size, domain).grid), domain)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.coeffs.copy(), self.domain)
@@ -144,8 +217,7 @@ class SpectralField:
         n = self.grid_size
         n_new = n * factor
         out = np.zeros(2 * n_new, dtype=complex)
-        k = self.wavenumbers()
-        out[k] = self.coeffs  # integer fancy-indexing respects negative k
+        out[self.ops.k] = self.coeffs  # fancy-indexing respects negative k
         # split the unpaired -N mode between +-N so the result is symmetric
         out[n] = 0.5 * self.coeffs[n].real
         out[-n] = 0.5 * self.coeffs[n].real
@@ -153,9 +225,7 @@ class SpectralField:
 
     def tail_magnitude(self) -> float:
         """max |w_k| over the top TAIL_BAND_FRACTION of wavenumbers."""
-        k = np.abs(self.wavenumbers())
-        band = k >= (1.0 - TAIL_BAND_FRACTION) * self.grid_size
-        return float(np.max(np.abs(self.coeffs[band])))
+        return float(np.max(np.abs(self.coeffs[self.ops.tail])))
 
 
 @dataclass
@@ -191,43 +261,14 @@ class NormReport:
     ek_truncated: bool = False  # line quadrature saw mass near q = +-pi
 
 
-def _apply_symbol(f: SpectralField, symbol: np.ndarray) -> SpectralField:
-    return SpectralField(f.coeffs * symbol, f.domain)
-
-
 def hilbert(f: SpectralField) -> SpectralField:
     """Hilbert transform: multiply by -i sgn(k); the mean is annihilated."""
-    k = f.wavenumbers()
-    return _apply_symbol(f, -1j * np.sign(k))
-
-
-def lambda_sigma(f: SpectralField, sigma: float) -> SpectralField:
-    """Fractional dissipation symbol |k|^sigma; Lambda^0 is the identity."""
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
-    if sigma == 0:
-        return f.copy()
-    k = np.abs(f.wavenumbers()).astype(float)
-    return _apply_symbol(f, k**sigma)
-
-
-def derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    k = f.wavenumbers().astype(float)
-    return _apply_symbol(f, (1j * k) ** order)
-
-
-def project_zero_mean(f: SpectralField) -> SpectralField:
-    out = f.copy()
-    out.coeffs[0] = 0.0
-    return out
+    return SpectralField(f.coeffs * f.ops.hilbert, f.domain)
 
 
 def velocity_from_omega(f: SpectralField) -> SpectralField:
     """Zero-mean velocity on the circle: u_k = H(w)_k / (ik), u_0 = 0."""
-    k = f.wavenumbers().astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        sym = np.where(k != 0, -1.0 / np.abs(k), 0.0)
-    return _apply_symbol(f, sym)
+    return SpectralField(f.coeffs * f.ops.velocity, f.domain)
 
 
 def c_omega_q(f: SpectralField) -> float:
@@ -236,83 +277,40 @@ def c_omega_q(f: SpectralField) -> float:
     Equals -(1/2pi) PV int w(q') tan(q'/2) dq', evaluated spectrally as
     -H^q w (pi) so the grid singularity at q' = +-pi never appears.
     """
-    k = f.wavenumbers()
-    val = np.sum(-1j * np.sign(k) * f.coeffs * np.where(k % 2 == 0, 1.0, -1.0))
-    return float(-val.real)
-
-
-def _fill_singular_points(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Replace masked entries by 4th-order symmetric interpolation from
-    periodic neighbours (masked points are isolated, at q = +-pi)."""
-    out = values.copy()
-    m = values.size
-    for j in np.nonzero(mask)[0]:
-        f1 = values[(j + 1) % m] + values[(j - 1) % m]
-        f2 = values[(j + 2) % m] + values[(j - 2) % m]
-        out[j] = (4.0 * f1 - f2) / 6.0
-    return out
+    ops = f.ops
+    return float(-np.sum(ops.hilbert * f.coeffs * ops.phase).real)
 
 
 def velocity_line(f: SpectralField) -> SpectralField:
-    """Velocity on the compactified line from (1+cos q) u_q = H^q w + C.
-
-    The quotient is formed in physical space away from q = +-pi, the
-    isolated singular node is filled by interpolation, and u is obtained
-    by spectral integration with the constant fixed so u(+-pi) = 0
-    (u vanishes at x = +-infinity, matching the exact solutions).
-    """
-    q = f.grid()
-    jac = 1.0 + np.cos(q)
-    num = hilbert(f).values() + c_omega_q(f)
-    mask = jac < EPS_JACOBIAN
-    uq = np.where(mask, 0.0, num / np.where(mask, 1.0, jac))
-    uq = _fill_singular_points(uq, mask)
-    g = SpectralField.from_grid(uq, f.domain)
-    k = g.wavenumbers().astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g.coeffs = np.where(k != 0, g.coeffs / (1j * k), 0.0)
-    g.symmetrize()
-    u = g.values()
-    # subtract the value at q = -pi (grid node 0)
-    return SpectralField.from_grid(u - u[0], f.domain)
+    """Velocity on the compactified line from (1+cos q) u_q = H^q w + C."""
+    ops = f.ops
+    hw = ops.phys(ops.hilbert * f.coeffs)
+    return SpectralField.from_grid(ops.line_velocity(hw - hw[0]), f.domain)
 
 
 def norms(f: SpectralField) -> NormReport:
     """L2, Linf, Wiener (B0) norm, mean and kinetic energy of the field."""
+    ops = f.ops
     c = f.coeffs
     absc = np.abs(c)
     b0 = float(np.sum(absc))
-    vals = f.values()
+    vals = ops.phys(c)
     linf = float(np.max(np.abs(vals)))
     mean = float(c[0].real)
     ek_truncated = False
     if f.domain is Domain.CIRCLE:
         l2 = float(np.sqrt(2.0 * np.pi * np.sum(absc**2)))
-        u = velocity_from_omega(f)
-        ek = float(np.pi * np.sum(np.abs(u.coeffs) ** 2))
+        ek = float(np.pi * np.sum(np.abs(ops.velocity * c) ** 2))
     else:
         # physical (x-space) quadratures: dx = dq / (1 + cos q)
-        q = f.grid()
-        jac = 1.0 + np.cos(q)
-        mask = jac < EPS_JACOBIAN
         dq = 2.0 * np.pi / f.n_points
-        safe = np.where(mask, 1.0, jac)
-
-        def x_integral(numer):
-            integrand = np.where(mask, 0.0, numer / safe)
-            integrand = _fill_singular_points(integrand, mask)
-            return float(np.sum(integrand) * dq)
-
-        l2 = float(np.sqrt(x_integral(vals**2)))
-        u = velocity_line(f).values()
-        ek = 0.5 * x_integral(u**2)
-        integrand = _fill_singular_points(
-            np.where(mask, 0.0, u**2 / safe), mask)
-        # quadrature is untrusted when the integrand has not decayed
-        # approaching q = +-pi
-        near = np.abs(np.abs(q) - np.pi * (1.0 - 1.0 / f.grid_size)) < dq / 2
-        if np.any(near) and np.max(integrand[near]) > 1e-8 * max(
-                np.max(integrand), 1e-300):
+        l2 = float(np.sqrt(np.sum(ops.over_jacobian(vals**2)) * dq))
+        hw = ops.phys(ops.hilbert * c)
+        integrand = ops.over_jacobian(ops.line_velocity(hw - hw[0]) ** 2)
+        ek = 0.5 * float(np.sum(integrand) * dq)
+        # quadrature is untrusted when the integrand has not decayed at the
+        # nodes next to q = +-pi
+        if np.max(integrand[[1, -1]]) > 1e-8 * max(np.max(integrand), 1e-300):
             ek_truncated = True
     return NormReport(l2=l2, linf=linf, b0=b0, mean=mean, kinetic_energy=ek,
                       b0_tail=f.tail_magnitude(), ek_truncated=ek_truncated)
@@ -327,8 +325,9 @@ def write_snapshot(f: SpectralField, t: float, fh) -> None:
     stream = open(fh, "w") if own else fh
     try:
         n = f.grid_size
-        stream.write(f"# gclm-field v1 domain={f.domain.value} t={t!r}\n")
-        stream.write(f"{t!r}\n{n}\n")
+        t = repr(float(t))  # a numpy scalar's repr is 'np.float64(...)'
+        stream.write(f"# gclm-field v1 domain={f.domain.value} t={t}\n")
+        stream.write(f"{t}\n{n}\n")
         ordered = f.coeffs[np.arange(-n, n)]
         for z in ordered:
             stream.write(f"{float(z.real)!r} {float(z.imag)!r}\n")

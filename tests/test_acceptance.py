@@ -73,6 +73,21 @@ def test_criterion_02_rescaled_profiles_approach_similarity_limit():
         assert err <= 1e-2, f"tau={tau}: sup-relative misfit {err:.3g}"
 
 
+def test_criterion_02_misfit_is_first_order_in_tau():
+    # the misfit of criterion 02 is the finite-time correction to the
+    # similarity limit, exactly first order: misfit/tau ~ 20.8 = 0.76/t_c
+    st = exact.SchochetState()
+    cl = st.classify()
+    xi = np.linspace(-6.0, 6.0, 81)
+    prof = st.similarity_profile(xi)
+    scale = np.max(np.abs(prof))
+    ratios = []
+    for tau in (1e-2, 1e-3, 1e-4, 1e-5):
+        resc = tau**2 * st.advance(cl.t_c - tau).evaluate(cl.x_c + xi * tau)
+        ratios.append(np.max(np.abs(resc - prof)) / scale / tau)
+    assert max(ratios) <= 1.02 * min(ratios), ratios
+
+
 def test_criterion_03_periodic_collapse_rates():
     # a=1/2, sigma=1, nu=1, two-mode amplitude 4 on the circle
     params = GclmParams(a=0.5, sigma=1.0, nu=1.0)

@@ -112,8 +112,7 @@ class TestAdaptiveDt:
         # a = nu = 0 and max|H w| = 2: dt = cfl / 2
         f = SpectralField.from_function(lambda x: 2.0 * np.sin(x), 64)
         params = GclmParams(a=0.0, sigma=0.0, nu=0.0)
-        rhs = Rhs(Domain.CIRCLE, params, 64)
-        dt = adaptive_dt(f, params, 1.0 / 16.0, np.inf, rhs)
+        dt = adaptive_dt(f, params, 1.0 / 16.0, np.inf)
         assert dt == pytest.approx(1.0 / 32.0, rel=1e-12)
 
     def test_dissipative_limit_dominates(self):
@@ -121,15 +120,13 @@ class TestAdaptiveDt:
         # dt = cfl * (pi/64)^2
         f = SpectralField.from_function(np.cos, 64)
         params = GclmParams(a=1.0, sigma=2.0, nu=1.0)
-        rhs = Rhs(Domain.CIRCLE, params, 64)
-        dt = adaptive_dt(f, params, 1.0 / 32.0, np.inf, rhs)
+        dt = adaptive_dt(f, params, 1.0 / 32.0, np.inf)
         assert dt == pytest.approx((np.pi / 64.0) ** 2 / 32.0, rel=1e-10)
 
     def test_zero_field_returns_dt_max(self):
         f = SpectralField(np.zeros(128, dtype=complex), Domain.CIRCLE)
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
-        rhs = Rhs(Domain.CIRCLE, params, 64)
-        assert adaptive_dt(f, params, 1.0 / 32.0, 2.5, rhs) == 2.5
+        assert adaptive_dt(f, params, 1.0 / 32.0, 2.5) == 2.5
 
 
 class TestTimeSeries:

@@ -3,11 +3,14 @@
 import io
 import json
 import math
+import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gclm
 from gclm import cli
 from gclm import collapse as collapse_mod
 from gclm import harness
@@ -24,7 +27,13 @@ from gclm.harness import (
     two_mode_field,
     write_config,
 )
-from gclm.spectral import Domain, GclmParams, write_snapshot
+from gclm.spectral import (
+    Domain,
+    GclmParams,
+    SpectralField,
+    read_snapshot,
+    write_snapshot,
+)
 
 SIM_CFG = """\
 [run]
@@ -306,6 +315,41 @@ class TestEmitPlots:
     def test_empty_directory_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="series.csv"):
             emit_plots(tmp_path)
+
+    @pytest.mark.parametrize("n", [64, 32768])
+    def test_snapshot_loader_matches_field_values(self, tmp_path,
+                                                  monkeypatch, n):
+        # matplotlib is not a dependency: the generated header gets a stub
+        plt = types.ModuleType("matplotlib.pyplot")
+        mpl = types.ModuleType("matplotlib")
+        mpl.pyplot = plt
+        monkeypatch.setitem(sys.modules, "matplotlib", mpl)
+        monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+        rng = np.random.default_rng(n)
+        snap = tmp_path / "snapshot_final.txt"
+        write_snapshot(SpectralField.from_grid(rng.standard_normal(2 * n)),
+                       np.float64(0.75), str(snap))
+        script = tmp_path / "plot_profile.py"
+        script.write_text(harness._PLOT_HEADER)
+        namespace = {"__file__": str(script), "__name__": "plot_profile"}
+        exec(compile(script.read_text(), str(script), "exec"), namespace)
+        t, n_read, _, x, vals = namespace["load_snapshot"](snap.name)
+        field, t_ref = read_snapshot(str(snap))
+        assert (t, n_read) == (t_ref, n)
+        assert np.allclose(x, field.grid(), rtol=0.0, atol=1e-15)
+        ref = field.values()
+        assert np.max(np.abs(vals - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="tomllib is new in Python 3.11")
+def test_version_matches_pyproject():
+    import tomllib
+
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(path, "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert gclm.__version__ == project["version"]
 
 
 class TestCli:

@@ -12,11 +12,9 @@ from gclm.spectral import (
     GclmParams,
     SpectralField,
     c_omega_q,
-    derivative,
     hilbert,
-    lambda_sigma,
     norms,
-    project_zero_mean,
+    operators,
     read_snapshot,
     velocity_from_omega,
     velocity_line,
@@ -26,6 +24,11 @@ from gclm.spectral import (
 
 def sampled(func, n=128, domain=Domain.CIRCLE):
     return SpectralField.from_function(func, n, domain)
+
+
+def derivative(f):
+    """d/dx through the operator table's ik symbol."""
+    return SpectralField(f.coeffs * f.ops.ik, f.domain)
 
 
 def random_real_field(seed, n=128, domain=Domain.CIRCLE, decay=0.5):
@@ -103,6 +106,25 @@ class TestSpectralField:
             SpectralField(np.zeros(33, dtype=complex), Domain.CIRCLE)
 
 
+class TestOperatorTable:
+    def test_one_shared_table_per_size_and_domain(self):
+        assert operators(64, Domain.CIRCLE) is operators(64, Domain.CIRCLE)
+        assert operators(64, Domain.LINE) is not operators(64, Domain.CIRCLE)
+        assert random_real_field(18).ops is operators(64, Domain.CIRCLE)
+
+    def test_arrays_are_read_only(self):
+        ops = operators(32, Domain.LINE)
+        for a in (ops.k, ops.kabs, ops.ik, ops.phase, ops.hilbert,
+                  ops.velocity, ops.grid, ops.tail, ops.jac, ops.singular):
+            with pytest.raises(ValueError):
+                a[0] = a[1]
+
+    def test_transforms_invert_each_other(self):
+        f = random_real_field(19)
+        assert np.allclose(f.ops.spec(f.ops.phys(f.coeffs)), f.coeffs,
+                           atol=1e-15)
+
+
 class TestOperators:
     def test_hilbert_of_sine(self):
         # H sin = -cos with the symbol -i sgn(k)
@@ -122,22 +144,21 @@ class TestOperators:
         f = random_real_field(6)
         f.coeffs[0] = 0.7  # add a mean to exercise the projection
         hh = hilbert(hilbert(f))
-        expect = project_zero_mean(f)
-        assert np.allclose(hh.coeffs, -expect.coeffs, atol=1e-15)
+        expect = f.coeffs.copy()
+        expect[0] = 0.0  # P0 removes the mean
+        assert np.allclose(hh.coeffs, -expect, atol=1e-15)
 
     def test_lambda_sigma_zero_is_identity(self):
-        f = random_real_field(7)
-        assert np.allclose(lambda_sigma(f, 0.0).coeffs, f.coeffs)
+        ops = operators(64, Domain.CIRCLE)
+        assert np.array_equal(ops.kabs**0.0, np.ones(128))
 
     def test_lambda_squared_is_minus_laplacian(self):
-        f = random_real_field(8)
-        lhs = lambda_sigma(f, 2.0)
-        rhs = derivative(derivative(f))
-        assert np.allclose(lhs.coeffs, -rhs.coeffs, atol=1e-13)
+        ops = operators(64, Domain.CIRCLE)
+        assert np.array_equal(ops.kabs**2.0, -(ops.ik**2))
 
     def test_lambda_one_is_hilbert_of_derivative(self):
         f = random_real_field(9)
-        assert np.allclose(lambda_sigma(f, 1.0).coeffs,
+        assert np.allclose(f.ops.kabs * f.coeffs,
                            hilbert(derivative(f)).coeffs, atol=1e-13)
 
     def test_derivative_of_sine(self):
@@ -252,6 +273,15 @@ class TestSnapshots:
         assert t == 0.625
         assert g.domain is Domain.LINE
         assert np.array_equal(g.coeffs, f.coeffs)
+
+    def test_numpy_scalar_time_round_trips(self):
+        # simulate keeps t as np.float64, whose repr is 'np.float64(...)'
+        f = random_real_field(18)
+        buf = io.StringIO()
+        write_snapshot(f, np.float64(1.1536543612986534), buf)
+        buf.seek(0)
+        _, t = read_snapshot(buf)
+        assert t == 1.1536543612986534
 
     def test_header_names_domain_and_time(self):
         f = random_real_field(17)
