@@ -378,7 +378,6 @@ def simulate(initial: SpectralField, params: GclmParams,
         if not np.all(np.isfinite(new_c)):
             return finish(TerminalStatus.COLLAPSE_DETECTED)
         trial = SpectralField(new_c, state.field.domain)
-        trial.symmetrize()
         peak = np.max(np.abs(trial.coeffs))
         tail = trial.tail_magnitude() if peak > 0 else 0.0
         if not at_cap and peak > 0 and tail > controls.tail_tol * peak:

@@ -312,12 +312,15 @@ def _aaa_record(field: SpectralField, t: float) -> dict:
     x = field.grid()
     stride = max(1, x.size // 2000)
     fit = tracker.aaa_approximate(x[::stride], vals[::stride])
+    # judged on every node: a pole between two fitted samples shows there
+    err = float(np.max(np.abs(fit(x) - vals)))
+    scale = float(np.max(np.abs(vals)))
     return {
         "t": t,
         "poles": [[p.real, p.imag] for p in fit.poles],
         "residues": [[r.real, r.imag] for r in fit.residues],
-        "max_error": fit.max_error,
-        "non_converged": fit.non_converged,
+        "max_error": err,
+        "non_converged": bool(err > tracker.AAA_TOL * max(scale, 1e-300)),
     }
 
 

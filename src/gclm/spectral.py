@@ -1,11 +1,13 @@
 """Real periodic fields in Fourier representation and their operator table.
 
-A field w(x) is stored through its complex Fourier coefficients w_k for
-k = -N..N-1 on the uniform grid x_j = -pi + pi*j/N (2N points). On the
-compactified line the same machinery is used in the variable q, with
-x = tan(q/2). Everything that depends only on (N, domain) -- wavenumbers,
-Fourier symbols, grid, line Jacobian and the transforms -- lives in one
-cached :class:`Operators` table, obtained with :func:`operators`.
+A real field w(x) on the uniform grid x_j = -pi + pi*j/N (2N points) is
+stored through its complex Fourier coefficients w_k for k = 0..N only; the
+k < 0 half is w_{-k} = conj(w_k), so realness holds by construction and
+the transforms are real-input ones. On the compactified line the same
+machinery is used in the variable q, with x = tan(q/2). Everything that
+depends only on (N, domain) -- wavenumbers, Fourier symbols, grid, line
+Jacobian and the transforms -- lives in one cached :class:`Operators`
+table, obtained with :func:`operators`.
 """
 
 from __future__ import annotations
@@ -50,31 +52,36 @@ def _check_grid_size(n: int) -> None:
 class Operators:
     """Wavenumbers, Fourier symbols, grid and transforms for one (N, domain).
 
-    Coefficient arrays are in FFT ordering (k = 0..N-1, -N..-1). Every array
-    is read-only: one table is shared by all fields, right-hand sides and
-    diagnostics at this resolution.
+    Coefficient arrays hold the N+1 wavenumbers k = 0..N of a real field.
+    Every array is read-only: one table is shared by all fields, right-hand
+    sides and diagnostics at this resolution.
     """
 
     def __init__(self, grid_size: int, domain: Domain):
         _check_grid_size(grid_size)
         m = 2 * grid_size
-        self.k = np.fft.fftfreq(m, d=1.0 / m).astype(int)
-        self.kabs = np.abs(self.k).astype(float)
-        self.ik = 1j * self.k.astype(float)
+        self.k = np.arange(grid_size + 1)
+        self.kabs = self.k.astype(float)
+        self.ik = 1j * self.kabs
+        #: how often |w_k| occurs in the full spectrum k = -N..N-1: 1 at
+        #: k = 0 and k = N, 2 elsewhere (w_{-k} = conj(w_k))
+        self.mult = np.full(grid_size + 1, 2.0)
+        self.mult[[0, -1]] = 1.0
         # The grid starts at -pi, so physical<->spectral transforms carry the
         # phase factor e^{-ik pi} = (-1)^k relative to a plain FFT.
         self.phase = np.where(self.k % 2 == 0, 1.0, -1.0)
         #: Hilbert transform -i sgn(k); the mean is annihilated
         self.hilbert = -1j * np.sign(self.k)
         #: zero-mean circle velocity u_k = H(w)_k / (ik) = -w_k / |k|
-        self.velocity = np.divide(-1.0, self.kabs, out=np.zeros(m),
+        self.velocity = np.divide(-1.0, self.kabs,
+                                  out=np.zeros(grid_size + 1),
                                   where=self.k != 0)
         #: collocation nodes x_j (or q_j on the line) in [-pi, pi)
         self.grid = -np.pi + 2.0 * np.pi * np.arange(m) / m
         #: top TAIL_BAND_FRACTION of wavenumbers
         self.tail = self.kabs >= (1.0 - TAIL_BAND_FRACTION) * grid_size
-        arrays = [self.k, self.kabs, self.ik, self.phase, self.hilbert,
-                  self.velocity, self.grid, self.tail]
+        arrays = [self.k, self.kabs, self.ik, self.mult, self.phase,
+                  self.hilbert, self.velocity, self.grid, self.tail]
         if domain is Domain.LINE:
             #: dx/dq = 1 / (1 + cos q); it vanishes at the node q = -pi
             self.jac = 1.0 + np.cos(self.grid)
@@ -84,12 +91,16 @@ class Operators:
             a.setflags(write=False)
 
     def phys(self, c: np.ndarray) -> np.ndarray:
-        """Grid values of the real field with coefficients c."""
-        return np.fft.ifft(c * self.phase).real * c.size
+        """Grid values of the real field with coefficients c (k = 0..N).
+
+        The imaginary parts of the k = 0 and k = N coefficients have no
+        grid values and are ignored.
+        """
+        return np.fft.irfft(c * self.phase, self.grid.size, norm="forward")
 
     def spec(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients of the grid values v."""
-        return np.fft.fft(v) / v.size * self.phase
+        """Coefficients k = 0..N of the grid values v."""
+        return np.fft.rfft(v, norm="forward") * self.phase
 
     def over_jacobian(self, v: np.ndarray) -> np.ndarray:
         """v / (1 + cos q) on the line grid, with the singular node at
@@ -132,9 +143,9 @@ def operators(grid_size: int, domain: Domain, /) -> Operators:
 class SpectralField:
     """Fourier representation of a real field on 2N uniform grid points.
 
-    ``coeffs`` is held in FFT ordering (k = 0..N-1, -N..-1). Conjugate
-    symmetry w_{-k} = conj(w_k) is an invariant; use :meth:`symmetrize`
-    after constructing coefficients by hand.
+    ``coeffs`` holds the N+1 coefficients w_k, k = 0..N; the rest of the
+    spectrum is w_{-k} = conj(w_k), and the k = N mode is the one that
+    k = -N aliases to on the grid.
     """
 
     coeffs: np.ndarray
@@ -142,26 +153,23 @@ class SpectralField:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 1 or self.coeffs.size % 2:
-            raise ValueError("coeffs must be a 1d array of even length")
-        _check_grid_size(self.coeffs.size // 2)
+        if self.coeffs.ndim != 1:
+            raise ValueError("coeffs must be a 1d array of N+1 coefficients")
+        _check_grid_size(self.coeffs.size - 1)
 
     @property
     def grid_size(self) -> int:
-        """N; the field carries 2N modes, k = -N..N-1."""
-        return self.coeffs.size // 2
+        """N; the field carries the modes k = -N..N-1 on 2N points."""
+        return self.coeffs.size - 1
 
     @property
     def n_points(self) -> int:
-        return self.coeffs.size
+        return 2 * self.grid_size
 
     @property
     def ops(self) -> Operators:
         """The operator table of this field's grid size and domain."""
         return operators(self.grid_size, self.domain)
-
-    def wavenumbers(self) -> np.ndarray:
-        return self.ops.k
 
     def grid(self) -> np.ndarray:
         """Collocation nodes x_j (or q_j on the line) in [-pi, pi)."""
@@ -173,10 +181,9 @@ class SpectralField:
     @classmethod
     def from_grid(cls, values, domain: Domain = Domain.CIRCLE) -> "SpectralField":
         values = np.asarray(values, dtype=float)
-        f = cls(values, domain)  # validates the size
-        f.coeffs = f.ops.spec(values)
-        f.symmetrize()
-        return f
+        if values.ndim != 1 or values.size % 2:
+            raise ValueError("grid values must be a 1d array of even length")
+        return cls(operators(values.size // 2, domain).spec(values), domain)
 
     @classmethod
     def from_function(cls, func, grid_size: int,
@@ -186,41 +193,13 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.coeffs.copy(), self.domain)
 
-    def symmetrize(self) -> None:
-        """Project onto real fields: w_{-k} <- (w_{-k} + conj(w_k))/2.
-
-        The k = -N mode has no +N partner and must be real; its imaginary
-        part is dropped.
-        """
-        c = self.coeffs
-        n = self.grid_size
-        ks = np.arange(1, n)
-        avg = 0.5 * (c[ks] + np.conj(c[-ks]))
-        c[ks] = avg
-        c[-ks] = np.conj(avg)
-        c[0] = c[0].real
-        c[n] = c[n].real
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Relative departure from w_{-k} = conj(w_k)."""
-        c = self.coeffs
-        n = self.grid_size
-        ks = np.arange(1, n)
-        num = np.max(np.abs(c[ks] - np.conj(c[-ks]))) if n > 1 else 0.0
-        num = max(num, abs(c[0].imag), abs(c[n].imag))
-        scale = np.max(np.abs(c))
-        return num / scale if scale > 0 else 0.0
-
     def zero_pad(self, factor: int = 2) -> "SpectralField":
         """Double (or more) the resolution by zero padding; grid values are
         unchanged up to round-off (Fourier interpolation)."""
         n = self.grid_size
-        n_new = n * factor
-        out = np.zeros(2 * n_new, dtype=complex)
-        out[self.ops.k] = self.coeffs  # fancy-indexing respects negative k
-        # split the unpaired -N mode between +-N so the result is symmetric
-        out[n] = 0.5 * self.coeffs[n].real
-        out[-n] = 0.5 * self.coeffs[n].real
+        out = np.zeros(n * factor + 1, dtype=complex)
+        out[:n] = self.coeffs[:n]
+        out[n] = 0.5 * self.coeffs[n].real  # w_N splits over k = +-N
         return SpectralField(out, self.domain)
 
     def tail_magnitude(self) -> float:
@@ -278,7 +257,7 @@ def c_omega_q(f: SpectralField) -> float:
     -H^q w (pi) so the grid singularity at q' = +-pi never appears.
     """
     ops = f.ops
-    return float(-np.sum(ops.hilbert * f.coeffs * ops.phase).real)
+    return float(-np.sum(ops.mult * (ops.hilbert * f.coeffs * ops.phase).real))
 
 
 def velocity_line(f: SpectralField) -> SpectralField:
@@ -293,14 +272,14 @@ def norms(f: SpectralField) -> NormReport:
     ops = f.ops
     c = f.coeffs
     absc = np.abs(c)
-    b0 = float(np.sum(absc))
+    b0 = float(np.sum(ops.mult * absc))
     vals = ops.phys(c)
     linf = float(np.max(np.abs(vals)))
     mean = float(c[0].real)
     ek_truncated = False
     if f.domain is Domain.CIRCLE:
-        l2 = float(np.sqrt(2.0 * np.pi * np.sum(absc**2)))
-        ek = float(np.pi * np.sum(np.abs(ops.velocity * c) ** 2))
+        l2 = float(np.sqrt(2.0 * np.pi * np.sum(ops.mult * absc**2)))
+        ek = float(np.pi * np.sum(ops.mult * np.abs(ops.velocity * c) ** 2))
     else:
         # physical (x-space) quadratures: dx = dq / (1 + cos q)
         dq = 2.0 * np.pi / f.n_points
@@ -318,7 +297,9 @@ def norms(f: SpectralField) -> NormReport:
 
 # ---------------------------------------------------------------------------
 # snapshot file format: '# gclm-field v1 domain=<circle|line> t=<...>',
-# then time, N, and 2N coefficients for k = -N..N-1 as 're im' lines.
+# then time, N, and 2N coefficients for k = -N..N-1 as 're im' lines. The
+# k = 0..N half is expanded to this full spectrum on write and folded back
+# on read.
 
 def write_snapshot(f: SpectralField, t: float, fh) -> None:
     own = isinstance(fh, (str, bytes))
@@ -328,7 +309,10 @@ def write_snapshot(f: SpectralField, t: float, fh) -> None:
         t = repr(float(t))  # a numpy scalar's repr is 'np.float64(...)'
         stream.write(f"# gclm-field v1 domain={f.domain.value} t={t}\n")
         stream.write(f"{t}\n{n}\n")
-        ordered = f.coeffs[np.arange(-n, n)]
+        c = f.coeffs
+        # k = -N is the real Nyquist coefficient itself, k = -N+1..-1 the
+        # conjugates of k = N-1..1
+        ordered = np.concatenate([c[n:], np.conj(c[n - 1:0:-1]), c[:n]])
         for z in ordered:
             stream.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
     finally:
@@ -337,6 +321,8 @@ def write_snapshot(f: SpectralField, t: float, fh) -> None:
 
 
 def read_snapshot(fh) -> tuple[SpectralField, float]:
+    """Read a v1 snapshot; raises ValueError unless its coefficients are
+    those of a real field (to 1e-12 of the largest)."""
     own = isinstance(fh, (str, bytes))
     stream = open(fh, "r") if own else fh
     try:
@@ -346,12 +332,18 @@ def read_snapshot(fh) -> tuple[SpectralField, float]:
         domain = Domain.CIRCLE if "domain=circle" in header else Domain.LINE
         t = float(stream.readline())
         n = int(stream.readline())
-        coeffs = np.zeros(2 * n, dtype=complex)
-        ks = np.arange(-n, n)
-        for k in ks:
+        _check_grid_size(n)
+        full = np.zeros(2 * n, dtype=complex)  # k = -N..N-1
+        for i in range(2 * n):
             re, im = stream.readline().split()
-            coeffs[k] = float(re) + 1j * float(im)
-        return SpectralField(coeffs, domain), t
+            full[i] = float(re) + 1j * float(im)
     finally:
         if own:
             stream.close()
+    tol = 1e-12 * np.max(np.abs(full))
+    if np.max(np.abs(full[1:n] - np.conj(full[:n:-1]))) > tol:
+        raise ValueError("snapshot coefficients k < 0 are not the conjugates "
+                         "of k > 0: not a real field")
+    if max(abs(full[0].imag), abs(full[n].imag)) > tol:
+        raise ValueError("snapshot coefficients k = 0 and k = -N must be real")
+    return SpectralField(np.append(full[n:], full[0]), domain), t

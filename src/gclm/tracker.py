@@ -33,6 +33,9 @@ FLOOR_TOL = 1e-13
 #: least-squares fits need at least this many usable modes
 MIN_WINDOW_MODES = 16
 
+#: relative error, to max |f|, that an AAA fit must reach to count as converged
+AAA_TOL = 1e-12
+
 
 class SpectrumTooCleanError(ValueError):
     """Too few Fourier modes above the round-off floor to fit a decay law."""
@@ -130,7 +133,7 @@ class RationalApprox:
 
 
 def aaa_approximate(points: np.ndarray, values: np.ndarray,
-                    tol: float = 1e-12, max_degree: int = 100,
+                    tol: float = AAA_TOL, max_degree: int = 100,
                     clean_up_tol: float = 1e-13) -> RationalApprox:
     """AAA rational fit of sampled values with spurious poles removed.
 

@@ -68,7 +68,7 @@ class TestRhsAgainstExactFamilies:
         for domain, sigma in ((Domain.CIRCLE, 0.0), (Domain.LINE, 1.0)):
             rhs = Rhs(domain, GclmParams(a=0.5 if domain is Domain.CIRCLE
                                          else 0.0, sigma=sigma, nu=1.0), 64)
-            out = rhs(np.zeros(128, dtype=complex))
+            out = rhs(np.zeros(65, dtype=complex))
             assert np.max(np.abs(out)) == 0.0
 
     def test_schochet(self):
@@ -124,7 +124,7 @@ class TestAdaptiveDt:
         assert dt == pytest.approx((np.pi / 64.0) ** 2 / 32.0, rel=1e-10)
 
     def test_zero_field_returns_dt_max(self):
-        f = SpectralField(np.zeros(128, dtype=complex), Domain.CIRCLE)
+        f = SpectralField(np.zeros(65, dtype=complex), Domain.CIRCLE)
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
         assert adaptive_dt(f, params, 1.0 / 32.0, 2.5) == 2.5
 

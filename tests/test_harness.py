@@ -287,6 +287,20 @@ class TestRunModes:
             np.max(np.abs(field.values())), rel=1e-12)
 
 
+class TestAaaRecord:
+    def test_feature_between_fitted_samples_is_not_converged(self):
+        # N = 8192 fits every 8th node; a Gaussian of width 4e-4 centred
+        # midway between two fitted nodes is invisible to the fit
+        n = 8192
+        x = SpectralField.from_grid(np.zeros(2 * n)).grid()
+        x0 = x[n + 4]
+        field = SpectralField.from_grid(
+            np.sin(x) + np.exp(-(((x - x0) / 4e-4) ** 2)))
+        record = harness._aaa_record(field, 0.0)
+        assert record["non_converged"] is True
+        assert record["max_error"] > 0.5
+
+
 class TestEmitPlots:
     def _series(self, status):
         ts = TimeSeries()

@@ -22,6 +22,31 @@ from gclm.spectral import (
 )
 
 
+#: v1 snapshot of exp(sin x) + cos(8x)/4 + sin(3x)/10 at N = 8, as written
+#: by the full-spectrum (k = -N..N-1) implementation of write_snapshot
+V1_N8 = """\
+# gclm-field v1 domain=circle t=0.375
+0.375
+8
+0.25000019921248073 0.0
+3.29086805522744e-17 -1.6047366170057753e-06
+-2.2488936772022128e-05 -1.6836579846918724e-18
+3.2662114549015713e-17 0.0002714631684468463
+0.002737120221566469 -5.551115123125783e-17
+-4.9065389333867974e-18 0.027831575075648214
+-0.1357476697670389 -5.71948092159497e-17
+-6.066425616790331e-17 0.565159103992485
+1.2660658777520082 0.0
+-6.066425616790331e-17 -0.565159103992485
+-0.1357476697670389 5.71948092159497e-17
+-4.9065389333867974e-18 -0.027831575075648214
+0.002737120221566469 5.551115123125783e-17
+3.2662114549015713e-17 -0.0002714631684468463
+-2.2488936772022128e-05 1.6836579846918724e-18
+3.29086805522744e-17 1.6047366170057753e-06
+"""
+
+
 def sampled(func, n=128, domain=Domain.CIRCLE):
     return SpectralField.from_function(func, n, domain)
 
@@ -37,9 +62,8 @@ def random_real_field(seed, n=128, domain=Domain.CIRCLE, decay=0.5):
     k = np.arange(1, n // 4)
     c = (rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)) \
         * np.exp(-decay * k)
-    coeffs = np.zeros(n, dtype=complex)
+    coeffs = np.zeros(n // 2 + 1, dtype=complex)
     coeffs[k] = c
-    coeffs[-k] = np.conj(c)
     return SpectralField(coeffs, domain)
 
 
@@ -67,21 +91,9 @@ class TestSpectralField:
         # sin x = (e^{ix} - e^{-ix}) / 2i
         f = sampled(np.sin, 32)
         assert f.coeffs[1] == pytest.approx(-0.5j, abs=1e-15)
-        assert f.coeffs[-1] == pytest.approx(0.5j, abs=1e-15)
         others = np.abs(f.coeffs)
-        others[1] = others[-1] = 0.0
+        others[1] = 0.0
         assert np.max(others) < 1e-15
-
-    def test_real_field_has_conjugate_symmetry(self):
-        f = random_real_field(1)
-        assert f.conjugate_symmetry_defect() < 1e-15
-
-    def test_symmetrize_enforces_reality(self):
-        f = random_real_field(2)
-        f.coeffs[3] += 1e-3  # break the symmetry on purpose
-        assert f.conjugate_symmetry_defect() > 1e-4
-        f.symmetrize()
-        assert f.conjugate_symmetry_defect() < 1e-15
 
     def test_zero_pad_preserves_grid_values(self):
         f = random_real_field(3, n=64)
@@ -90,11 +102,18 @@ class TestSpectralField:
         # old grid points are every other new grid point
         assert np.allclose(g.values()[::2], f.values(), atol=1e-13)
 
+    def test_zero_pad_keeps_grid_values_with_nyquist_mode(self):
+        # random grid values carry a nonzero k = N mode
+        rng = np.random.default_rng(20)
+        f = SpectralField.from_grid(rng.standard_normal(64))
+        assert abs(f.coeffs[-1]) > 1e-3
+        g = f.zero_pad()
+        assert np.allclose(g.values()[::2], f.values(), rtol=0.0, atol=1e-14)
+
     def test_zero_pad_preserves_coefficients(self):
         f = random_real_field(4, n=64)
         g = f.zero_pad(4)
-        k = f.wavenumbers()
-        for kk in (-5, 0, 3, 17):
+        for kk in (0, 3, 5, 17):
             assert g.coeffs[kk] == pytest.approx(f.coeffs[kk], abs=1e-16)
 
     def test_tail_magnitude_of_band_limited_field(self):
@@ -103,7 +122,12 @@ class TestSpectralField:
 
     def test_grid_size_must_be_even(self):
         with pytest.raises(ValueError):
-            SpectralField(np.zeros(33, dtype=complex), Domain.CIRCLE)
+            SpectralField(np.zeros(34, dtype=complex), Domain.CIRCLE)
+
+    def test_full_spectrum_length_is_rejected(self):
+        # 2N coefficients (k = -N..N-1) are not the N+1 of k = 0..N
+        with pytest.raises(ValueError):
+            SpectralField(np.zeros(64, dtype=complex), Domain.CIRCLE)
 
 
 class TestOperatorTable:
@@ -114,7 +138,7 @@ class TestOperatorTable:
 
     def test_arrays_are_read_only(self):
         ops = operators(32, Domain.LINE)
-        for a in (ops.k, ops.kabs, ops.ik, ops.phase, ops.hilbert,
+        for a in (ops.k, ops.kabs, ops.ik, ops.mult, ops.phase, ops.hilbert,
                   ops.velocity, ops.grid, ops.tail, ops.jac, ops.singular):
             with pytest.raises(ValueError):
                 a[0] = a[1]
@@ -150,7 +174,7 @@ class TestOperators:
 
     def test_lambda_sigma_zero_is_identity(self):
         ops = operators(64, Domain.CIRCLE)
-        assert np.array_equal(ops.kabs**0.0, np.ones(128))
+        assert np.array_equal(ops.kabs**0.0, np.ones(65))
 
     def test_lambda_squared_is_minus_laplacian(self):
         ops = operators(64, Domain.CIRCLE)
@@ -262,6 +286,23 @@ class TestNorms:
         assert norms(f).kinetic_energy == pytest.approx(np.pi / 2.0,
                                                         rel=1e-12)
 
+    def test_half_spectrum_norms_match_full_spectrum_sums(self):
+        # the k = 0..N sums, weighted by multiplicity, against plain sums
+        # over the k = -N..N-1 spectrum that write_snapshot expands to
+        rng = np.random.default_rng(21)
+        f = SpectralField.from_grid(rng.standard_normal(64))
+        buf = io.StringIO()
+        write_snapshot(f, 0.0, buf)
+        rows = np.loadtxt(io.StringIO(buf.getvalue()), skiprows=3)
+        c = rows[:, 0] + 1j * rows[:, 1]
+        k = np.arange(-32, 32)
+        ek = np.pi * np.sum(np.abs(c[k != 0]) ** 2 / k[k != 0] ** 2.0)
+        rep = norms(f)
+        assert rep.b0 == pytest.approx(np.sum(np.abs(c)), rel=1e-14)
+        assert rep.l2 == pytest.approx(
+            np.sqrt(2.0 * np.pi * np.sum(np.abs(c) ** 2)), rel=1e-14)
+        assert rep.kinetic_energy == pytest.approx(ek, rel=1e-14)
+
 
 class TestSnapshots:
     def test_round_trip_is_exact(self):
@@ -282,6 +323,27 @@ class TestSnapshots:
         buf.seek(0)
         _, t = read_snapshot(buf)
         assert t == 1.1536543612986534
+
+    def test_v1_file_reads_back_and_rewrites_byte_identical(self):
+        f, t = read_snapshot(io.StringIO(V1_N8))
+        assert (t, f.grid_size, f.domain) == (0.375, 8, Domain.CIRCLE)
+        x = f.grid()
+        want = np.exp(np.sin(x)) + 0.25 * np.cos(8 * x) + 0.1 * np.sin(3 * x)
+        assert np.allclose(f.values(), want, rtol=0.0, atol=1e-14)
+        buf = io.StringIO()
+        write_snapshot(f, t, buf)
+        assert buf.getvalue() == V1_N8
+
+    @pytest.mark.parametrize("line, text", [
+        (5, "-2.2e-05 -1.6836579846918724e-18"),  # k = -6 not conj(w_6)
+        (3, "0.25000019921248073 1e-3"),          # k = -N not real
+        (11, "1.2660658777520082 1e-3"),          # k = 0 not real
+    ])
+    def test_file_of_a_non_real_field_is_rejected(self, line, text):
+        lines = V1_N8.splitlines()
+        lines[line] = text
+        with pytest.raises(ValueError):
+            read_snapshot(io.StringIO("\n".join(lines) + "\n"))
 
     def test_header_names_domain_and_time(self):
         f = random_real_field(17)

@@ -17,10 +17,9 @@ from gclm.tracker import (
 
 def planted_spectrum(amplitude, delta, p, grid_size=256):
     """Real field with |w_k| = amplitude e^{-delta k} k^{-p} for k >= 1."""
-    coeffs = np.zeros(2 * grid_size, dtype=complex)
+    coeffs = np.zeros(grid_size + 1, dtype=complex)
     k = np.arange(1, grid_size)
     coeffs[k] = amplitude * np.exp(-delta * k) * k.astype(float) ** (-p)
-    coeffs[-k] = np.conj(coeffs[k])
     return SpectralField(coeffs, Domain.CIRCLE)
 
 
