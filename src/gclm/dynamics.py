@@ -1,9 +1,10 @@
 """Time integration of the dissipative gCLM equation.
 
 Pseudo-spectral right-hand sides on the circle and on the compactified real
-line (x = tan(q/2)), an 11-stage order-8 Cooper-Verner Runge-Kutta stepper,
-CFL-based step control, and an adaptive-resolution driver that doubles the
-number of modes whenever the spectral tail rises above round-off.
+line (x = tan(q/2)), an 11-stage order-8 Cooper-Verner Runge-Kutta stepper
+(explicit, or Lawson on the circle's diagonal dissipation), CFL-based step
+control, and an adaptive-resolution driver that doubles the number of
+modes whenever the spectral tail rises above round-off.
 """
 
 from __future__ import annotations
@@ -74,6 +75,15 @@ RK8_A[10, :10] = [0.0, 0.0, 0.0, 0.0, (-42.0 + 7.0 * _R) / 18.0,
 RK8_B = np.array([1.0 / 20.0, 0, 0, 0, 0, 0, 0, 49.0 / 180.0, 16.0 / 45.0,
                   49.0 / 180.0, 1.0 / 20.0])
 
+#: the 5 distinct nodes, and the index into them of each stage's node
+_NODES, _STAGE_NODE = np.unique(RK8_C, return_inverse=True)
+
+#: largest c_j - c_i over the nonzero a_ij (sqrt(21)/7): the nodes are not
+#: monotone, so a Lawson stage multiplies mode k by up to
+#: exp(_LAWSON_SPAN * dt * L_k)
+_LAWSON_SPAN = float(max(RK8_C[j] - RK8_C[i]
+                         for i, j in zip(*np.nonzero(RK8_A))))
+
 
 # ---------------------------------------------------------------------------
 # right-hand sides, operating on raw coefficient arrays for speed
@@ -93,18 +103,19 @@ class Rhs:
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         p, ops = self.params, self.ops
-        w = ops.phys(c)
-        hw = ops.phys(ops.hilbert * c)
         if self.domain is Domain.CIRCLE:
-            nl = (w + p.omega_av) * hw
             if p.a != 0.0:
-                u = ops.phys(ops.velocity * c)
-                wx = ops.phys(ops.ik * c)
-                nl = nl - p.a * u * wx
+                w, hw, u, wx = ops.phys_stack(c, 4)
+                nl = (w + p.omega_av) * hw - p.a * u * wx
+            else:
+                w, hw = ops.phys_stack(c, 2)
+                nl = (w + p.omega_av) * hw
             nl_hat = ops.spec(nl)
             nl_hat[0] = 0.0  # exact mean conservation
             return nl_hat - self.diss * c if p.nu != 0.0 else nl_hat
         # compactified line
+        w = ops.phys(c)
+        hw = ops.phys(ops.hilbert * c)
         # (1 + cos q) u_q = H^q w + C[w], and C[w] = -H^q w at node 0 (q = -pi)
         jac_uq = hw - hw[0]
         nl = w * jac_uq
@@ -123,8 +134,24 @@ class Rhs:
         return out
 
 
-def rk8_step(c: np.ndarray, dt: float, rhs: Rhs) -> np.ndarray:
-    """One Cooper-Verner order-8 step on the coefficient array."""
+def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
+             lin: np.ndarray | None = None) -> np.ndarray:
+    """One Cooper-Verner order-8 step on the coefficient array.
+
+    ``lin=None`` gives the explicit step. A diagonal symbol ``lin = L``,
+    whose -L c is part of ``rhs``, gives the Lawson (integrating-factor)
+    step of the same tableau: it integrates v = e^{tL} c, so L is applied
+    exactly and imposes no stability limit. With E(s) = exp(-s dt L), stage
+    i is Y_i = E(c_i) (c + dt sum_j a_ij K_j) with
+    K_j = E(c_j)^-1 (rhs(Y_j) + L Y_j), and the step returns
+    E(1) (c + dt sum_i b_i K_i). Since a_ij != 0 for some c_j > c_i, a
+    stage amplifies mode k by up to exp(sqrt(21)/7 dt L_k); the caller
+    bounds dt (see :func:`adaptive_dt`).
+    """
+    if lin is not None:
+        # E(s) at the distinct nodes; the exponent is capped where exp
+        # would underflow, so that a zero field stays zero (0/0 otherwise)
+        decay = np.exp(-np.minimum(_NODES[:, None] * (dt * lin), 700.0))
     stages = []
     for i in range(11):
         y = c
@@ -132,12 +159,17 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs) -> np.ndarray:
             aij = RK8_A[i, j]
             if aij != 0.0:
                 y = y + dt * aij * stages[j]
-        stages.append(rhs(y))
+        if lin is None:
+            stages.append(rhs(y))
+        else:
+            e = decay[_STAGE_NODE[i]]
+            y = e * y
+            stages.append((rhs(y) + lin * y) / e)
     out = c
     for i, bi in enumerate(RK8_B):
         if bi != 0.0:
             out = out + dt * bi * stages[i]
-    return out
+    return out if lin is None else decay[-1] * out
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +179,12 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
                 dt_max: float = np.inf) -> float:
     """Largest stable step from advection, stretching and dissipation rates.
 
+    The advection and stretching limits, and the line's explicit
+    dissipation limit, are scaled by cfl. On the circle the dissipation is
+    stepped by Lawson RK8 (see :func:`simulate`), which has no stability
+    limit from it; instead dt <= 1 / (span nu N^sigma), with span =
+    sqrt(21)/7 the largest node gap of the tableau, caps the stage growth
+    of the top mode at e, and is not scaled by cfl.
     Degenerate pieces (zero coefficient or zero field) impose no limit; a
     zero field returns dt_max.
     """
@@ -166,8 +204,9 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
         stretch = np.max(np.abs(hw))  # u_x = H(w)
         if stretch > 0:
             limits.append(1.0 / stretch)
-        if params.nu > 0:
-            limits.append(dx**params.sigma / params.nu)
+        if params.nu > 0:  # Lawson stage-growth bound, outside cfl
+            dt_max = min(dt_max, 1.0 / (
+                _LAWSON_SPAN * params.nu * field.grid_size**params.sigma))
     else:
         jac_uq = hw - hw[0]  # (1 + cos q) u_q
         stretch = np.max(np.abs(jac_uq))
@@ -316,6 +355,11 @@ def simulate(initial: SpectralField, params: GclmParams,
              controls: RunControls) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
+    Steps are Cooper-Verner RK8 (:func:`rk8_step`). On the circle with
+    nu != 0 they are Lawson steps on the diagonal dissipation nu |k|^sigma,
+    so dt is set by advection, stretching and the Lawson stage-growth
+    bound of :func:`adaptive_dt`; on the line they are explicit.
+
     A step whose result pushes the top of the spectrum above
     tail_tol * max|w_k| is rewound and retried at doubled resolution.
     Once refinement would exceed n_max, integration continues at n_max as
@@ -332,6 +376,7 @@ def simulate(initial: SpectralField, params: GclmParams,
     series = TimeSeries()
     state = SimState(field=field, t=0.0)
     sample_dt = controls.sample_dt
+    lawson = field.domain is Domain.CIRCLE and params.nu != 0.0
     rhs = Rhs(field.domain, params, field.grid_size)
     at_cap = False
     next_sample = 0.0
@@ -374,7 +419,8 @@ def simulate(initial: SpectralField, params: GclmParams,
         dt = min(dt, controls.t_end - state.t)
         if sample_dt and next_sample > state.t:
             dt = min(dt, next_sample - state.t)
-        new_c = rk8_step(state.field.coeffs, dt, rhs)
+        new_c = rk8_step(state.field.coeffs, dt, rhs,
+                         rhs.diss if lawson else None)
         if not np.all(np.isfinite(new_c)):
             return finish(TerminalStatus.COLLAPSE_DETECTED)
         trial = SpectralField(new_c, state.field.domain)

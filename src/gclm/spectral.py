@@ -76,12 +76,18 @@ class Operators:
         self.velocity = np.divide(-1.0, self.kabs,
                                   out=np.zeros(grid_size + 1),
                                   where=self.k != 0)
+        #: symbol x phase rows of w, H w, u and w_x, for the stacked
+        #: inverse transform of :meth:`phys_stack`
+        self.stack = np.array([self.phase, self.hilbert * self.phase,
+                               self.velocity * self.phase,
+                               self.ik * self.phase])
         #: collocation nodes x_j (or q_j on the line) in [-pi, pi)
         self.grid = -np.pi + 2.0 * np.pi * np.arange(m) / m
         #: top TAIL_BAND_FRACTION of wavenumbers
         self.tail = self.kabs >= (1.0 - TAIL_BAND_FRACTION) * grid_size
         arrays = [self.k, self.kabs, self.ik, self.mult, self.phase,
-                  self.hilbert, self.velocity, self.grid, self.tail]
+                  self.hilbert, self.velocity, self.stack, self.grid,
+                  self.tail]
         if domain is Domain.LINE:
             #: dx/dq = 1 / (1 + cos q); it vanishes at the node q = -pi
             self.jac = 1.0 + np.cos(self.grid)
@@ -97,6 +103,12 @@ class Operators:
         grid values and are ignored.
         """
         return np.fft.irfft(c * self.phase, self.grid.size, norm="forward")
+
+    def phys_stack(self, c: np.ndarray, rows: int) -> np.ndarray:
+        """Grid values of the first ``rows`` of w, H w, u and w_x for the
+        coefficients c, from one 2-D inverse transform (one row each)."""
+        return np.fft.irfft(self.stack[:rows] * c, self.grid.size,
+                            norm="forward")
 
     def spec(self, v: np.ndarray) -> np.ndarray:
         """Coefficients k = 0..N of the grid values v."""
@@ -321,15 +333,18 @@ def write_snapshot(f: SpectralField, t: float, fh) -> None:
 
 
 def read_snapshot(fh) -> tuple[SpectralField, float]:
-    """Read a v1 snapshot; raises ValueError unless its coefficients are
-    those of a real field (to 1e-12 of the largest)."""
+    """Read a v1 snapshot; raises ValueError unless the header names a
+    known domain and the coefficients are those of a real field (to 1e-12
+    of the largest)."""
     own = isinstance(fh, (str, bytes))
     stream = open(fh, "r") if own else fh
     try:
         header = stream.readline().strip()
         if not header.startswith("# gclm-field v1"):
             raise ValueError(f"not a gclm-field snapshot: {header!r}")
-        domain = Domain.CIRCLE if "domain=circle" in header else Domain.LINE
+        tokens = dict(tok.split("=", 1) for tok in header.split()
+                      if "=" in tok)
+        domain = Domain(tokens.get("domain"))  # ValueError unless known
         t = float(stream.readline())
         n = int(stream.readline())
         _check_grid_size(n)

@@ -23,13 +23,21 @@ from gclm.dynamics import (
     rk8_step,
     simulate,
 )
-from gclm.spectral import Domain, GclmParams, SpectralField
+from gclm.harness import two_mode_field
+from gclm.spectral import Domain, GclmParams, SpectralField, operators
 
 
 def fd_time_derivative(state, t0, n, h=1e-6):
     lo = state.advance(t0 - h).field(n).coeffs
     hi = state.advance(t0 + h).field(n).coeffs
     return (hi - lo) / (2.0 * h)
+
+
+def random_coeffs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+    c[[0, -1]] = c[[0, -1]].real
+    return c
 
 
 def rhs_matches_family(state, t0, n, tol=1e-6):
@@ -40,6 +48,12 @@ def rhs_matches_family(state, t0, n, tol=1e-6):
     want = fd_time_derivative(state, t0, n)
     scale = np.max(np.abs(want))
     return np.max(np.abs(got - want)) / scale < tol
+
+
+def lawson_span():
+    """Largest c_j - c_i over the nonzero a_ij of the tableau."""
+    i, j = np.nonzero(RK8_A)
+    return float(np.max(RK8_C[j] - RK8_C[i]))
 
 
 class TestTableau:
@@ -61,6 +75,60 @@ class TestTableau:
         for h in (0.5, 0.25):
             err = abs(rk8_step(c0, h, rhs)[0] - np.exp(-h))
             assert err < 2.0 * h**9
+
+
+class TestLawsonStep:
+    def test_span_is_the_gap_between_the_sqrt21_nodes(self):
+        assert lawson_span() == pytest.approx(np.sqrt(21.0) / 7.0, rel=1e-15)
+
+    def test_linear_part_is_exact(self):
+        # rhs = -L c: one Lawson step is e^{-hL} c0, even at the largest
+        # step the growth bound allows
+        lin = operators(16, Domain.CIRCLE).kabs ** 2
+        h = 1.0 / (lawson_span() * np.max(lin))
+        c0 = random_coeffs(16)
+        got = rk8_step(c0, h, lambda c: -lin * c, lin)
+        assert np.max(np.abs(got - np.exp(-h * lin) * c0)) <= 1e-14
+
+    def test_zero_field_stays_zero_at_any_step(self):
+        # exp(-dt L) underflows to 0 here; the step must not form 0/0
+        rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=2.0, nu=1.0), 64)
+        out = rk8_step(np.zeros(65, dtype=complex), 50.0, rhs, rhs.diss)
+        assert np.array_equal(out, np.zeros(65))
+
+    def test_self_convergence_is_eighth_order(self):
+        # criterion 09's run, Lawson-stepped; m >= 8 stays above the
+        # round-off floor (about 2e-13) of the error against m = 2000
+        params = GclmParams(a=0.5, sigma=1.0, nu=0.2)
+        f0 = two_mode_field(1.0, 16)
+        rhs = Rhs(Domain.CIRCLE, params, 16)
+        t_end = 2.0
+
+        def integrate(m):
+            c = f0.coeffs.copy()
+            for _ in range(m):
+                c = rk8_step(c, t_end / m, rhs, rhs.diss)
+            return c
+
+        ref = integrate(2000)
+        steps = np.array([8, 9, 10, 11, 12, 14, 16, 18, 20, 22, 24])
+        errs = np.array([np.max(np.abs(integrate(m) - ref)) for m in steps])
+        assert np.min(errs) > 1e-12
+        dts = t_end / steps.astype(float)
+        slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
+        assert 7.5 <= slope <= 8.5, f"measured order {slope:.3f}"
+
+    def test_simulate_agrees_with_fixed_step_explicit_run(self):
+        params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
+        f0 = two_mode_field(0.1, 64)
+        _, state = simulate(f0, params, RunControls(t_end=1.0, n0=64))
+        assert state.field.grid_size == 64 and state.t == pytest.approx(1.0)
+        rhs = Rhs(Domain.CIRCLE, params, 64)
+        c = f0.coeffs.copy()
+        for _ in range(500):
+            c = rk8_step(c, 1.0 / 500, rhs)
+        err = np.max(np.abs(state.field.coeffs - c)) / np.max(np.abs(c))
+        assert err <= 1e-10
 
 
 class TestRhsAgainstExactFamilies:
@@ -115,13 +183,14 @@ class TestAdaptiveDt:
         dt = adaptive_dt(f, params, 1.0 / 16.0, np.inf)
         assert dt == pytest.approx(1.0 / 32.0, rel=1e-12)
 
-    def test_dissipative_limit_dominates(self):
-        # a = nu = 1, sigma = 2, N = 64, max|u| = max|Hw| = 1:
-        # dt = cfl * (pi/64)^2
+    def test_lawson_growth_limit_dominates(self):
+        # a = nu = 1, sigma = 2, N = 64, max|u| = max|Hw| = 1: the stage
+        # growth bound 1 / (span * 64^2), outside cfl, is below the
+        # advection limit cfl * pi/64
         f = SpectralField.from_function(np.cos, 64)
         params = GclmParams(a=1.0, sigma=2.0, nu=1.0)
         dt = adaptive_dt(f, params, 1.0 / 32.0, np.inf)
-        assert dt == pytest.approx((np.pi / 64.0) ** 2 / 32.0, rel=1e-10)
+        assert dt == pytest.approx(1.0 / (lawson_span() * 64.0**2), rel=1e-12)
 
     def test_zero_field_returns_dt_max(self):
         f = SpectralField(np.zeros(65, dtype=complex), Domain.CIRCLE)

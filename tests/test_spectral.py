@@ -139,7 +139,8 @@ class TestOperatorTable:
     def test_arrays_are_read_only(self):
         ops = operators(32, Domain.LINE)
         for a in (ops.k, ops.kabs, ops.ik, ops.mult, ops.phase, ops.hilbert,
-                  ops.velocity, ops.grid, ops.tail, ops.jac, ops.singular):
+                  ops.velocity, ops.stack, ops.grid, ops.tail, ops.jac,
+                  ops.singular):
             with pytest.raises(ValueError):
                 a[0] = a[1]
 
@@ -147,6 +148,16 @@ class TestOperatorTable:
         f = random_real_field(19)
         assert np.allclose(f.ops.spec(f.ops.phys(f.coeffs)), f.coeffs,
                            atol=1e-15)
+
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_stacked_transform_matches_one_transform_per_field(self, n):
+        # w, H w, u and w_x from one 2-D irfft, bit for bit
+        ops = operators(n, Domain.CIRCLE)
+        c = random_real_field(20, 2 * n, decay=0.01).coeffs
+        one_each = [ops.phys(c), ops.phys(ops.hilbert * c),
+                    ops.phys(ops.velocity * c), ops.phys(ops.ik * c)]
+        assert np.array_equal(ops.phys_stack(c, 4), one_each)
+        assert np.array_equal(ops.phys_stack(c, 2), one_each[:2])
 
 
 class TestOperators:
@@ -344,6 +355,15 @@ class TestSnapshots:
         lines[line] = text
         with pytest.raises(ValueError):
             read_snapshot(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("header", [
+        "# gclm-field v1 domain=circel t=0.375",  # misspelt domain
+        "# gclm-field v1 t=0.375",                # no domain
+    ])
+    def test_unknown_domain_is_rejected(self, header):
+        text = V1_N8.replace("# gclm-field v1 domain=circle t=0.375", header)
+        with pytest.raises(ValueError):
+            read_snapshot(io.StringIO(text))
 
     def test_header_names_domain_and_time(self):
         f = random_real_field(17)
