@@ -253,6 +253,10 @@ class RunControls:
             raise ValueError("t_end and cfl must be positive")
         if self.n_max < self.n0:
             raise ValueError("n_max must be >= n0")
+        if self.sample_every < 1:
+            raise ValueError("sample_every must be >= 1")
+        if self.sample_dt is not None and not self.sample_dt > 0:
+            raise ValueError("sample_dt must be positive when set")
 
 
 @dataclass
@@ -368,6 +372,7 @@ def simulate(initial: SpectralField, params: GclmParams,
     CollapseDetected when the fitted singularity distance falls below
     collapse_delta_factor grid spacings or a stage goes non-finite;
     ResolutionCapHit when the capped tail degrades past tail_trust first.
+    The series ends with a sample of the final state, whatever the status.
     """
     params.validate(initial.domain)
     field = initial.copy()
@@ -413,8 +418,7 @@ def simulate(initial: SpectralField, params: GclmParams,
                 series.terminal_status = TerminalStatus.COLLAPSE_DETECTED
                 return series, state
         if state.t >= controls.t_end - 1e-14 * controls.t_end:
-            series.terminal_status = TerminalStatus.REACHED_T_END
-            return series, state
+            return finish(TerminalStatus.REACHED_T_END)
         dt = adaptive_dt(state.field, params, controls.cfl, controls.dt_max)
         dt = min(dt, controls.t_end - state.t)
         if sample_dt and next_sample > state.t:

@@ -1,6 +1,6 @@
 """Exact pole-dynamics solutions of the dissipative gCLM equation.
 
-Six families, used as oracles, initial-data generators and classifiers:
+Seven families, used as oracles, initial-data generators and classifiers:
 
 * ``SchochetState``        a = 0,  sigma = 2, real line (two double poles)
 * ``DoublePoleState``      a = 1/2, sigma = 1, real line (c.c. double pole)
@@ -10,10 +10,14 @@ Six families, used as oracles, initial-data generators and classifiers:
 * ``OnePairS0State``       a = 0,  sigma = 0, real line
 * ``PeriodicPoleState``    a = 0,  sigma = 0, circle (pole in tan(x/2))
 
-Each state stores its initial data; ``advance(t)`` returns the state at
-absolute time t, ``evaluate(x)`` the real vorticity, ``classify()`` the
-global-existence / steady / finite-time-collapse verdict with similarity
-exponents, and ``similarity_profile(xi)`` the limiting collapse profile.
+Each state stores its initial data; ``evaluate(x)`` gives the real
+vorticity, ``classify()`` the global-existence / steady / finite-time-collapse
+verdict with similarity exponents, and ``similarity_profile(xi)`` the
+limiting collapse profile.  What they share lives on the base ``PoleState``:
+the equation each family solves (``params_a``, ``params_sigma`` and the
+state's ``nu``, read by ``gclm_params()``), its domain, ``field(N)`` (the
+state sampled on the collocation grid) and ``advance(t)`` (the state at
+absolute time t, refused at or past the collapse time).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "PastCollapseError",
     "HigherOrderUnknownError",
     "NotCollapsingError",
+    "PoleState",
     "SchochetState",
     "DoublePoleState",
     "OnePairS1State",
@@ -119,13 +124,57 @@ def _first_zero(f, t_hint: float, t_cap: float = 1e6, f_vec=None):
     return None
 
 
-def _field_from(state, grid_size: int) -> SpectralField:
-    """Sample the family on the collocation grid (q-grid on the line)."""
-    if state.domain is Domain.LINE:
-        return SpectralField.from_function(
-            lambda q: state.evaluate(np.tan(q / 2.0)), grid_size, Domain.LINE)
-    return SpectralField.from_function(state.evaluate, grid_size,
-                                       Domain.CIRCLE)
+def _pole_pairs(x, *pairs):
+    """Sum over (omega, v) of omega/(x - i v) + conj(omega)/(x + i conj(v)):
+    simple poles at i v and their mirror images, real on the real axis."""
+    x = np.asarray(x, dtype=complex)
+    out = 0.0
+    for om, v in pairs:
+        out = out + om / (x - 1j * v) + np.conj(om) / (x + 1j * np.conj(v))
+    return out
+
+
+class PoleState:
+    """Base of the families: one state of one closed-form solution.
+
+    A family is a dataclass with fields ``nu`` and ``t`` that sets
+    ``params_a`` and ``params_sigma`` (the equation it solves) and defines
+    ``evaluate(x)`` and ``classify()``.
+    """
+
+    domain = Domain.LINE
+    params_a: float
+    params_sigma: float
+
+    def gclm_params(self) -> GclmParams:
+        return GclmParams(a=self.params_a, sigma=self.params_sigma,
+                          nu=self.nu)
+
+    def field(self, grid_size: int) -> SpectralField:
+        """Sample the state on the collocation grid (q-grid on the line)."""
+        if self.domain is Domain.LINE:
+            return SpectralField.from_function(
+                lambda q: self.evaluate(np.tan(q / 2.0)), grid_size,
+                Domain.LINE)
+        return SpectralField.from_function(self.evaluate, grid_size,
+                                           self.domain)
+
+    def advance(self, t: float):
+        """The state at absolute time t, which must precede any collapse."""
+        cl = self.classify()
+        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
+            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
+        return self._at(t)
+
+    def _at(self, t: float):
+        return dataclasses.replace(self, t=t)
+
+    def _collapse(self, why: str) -> Classification:
+        """The classification, which must be a collapse (else ``why``)."""
+        cl = self.classify()
+        if cl.kind is not Kind.COLLAPSE:
+            raise NotCollapsingError(why)
+        return cl
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +190,7 @@ def schochet_k(sign: int, corrected: bool = True) -> float:
 
 
 @dataclass
-class SchochetState:
+class SchochetState(PoleState):
     """Two double poles at x1(t), x2(t) in the lower half-plane."""
 
     x1_0: complex = -1j
@@ -151,7 +200,6 @@ class SchochetState:
     corrected: bool = True
     t: float = 0.0
 
-    domain = Domain.LINE
     params_a = 0.0
     params_sigma = 2.0
 
@@ -174,12 +222,6 @@ class SchochetState:
     def amplitude(self, t: float | None = None) -> complex:
         t = self.t if t is None else t
         return -self.k_const * self.nu * 1j / self._sqrt(t)
-
-    def advance(self, t: float) -> "SchochetState":
-        cl = self.classify()
-        if t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
 
     def omega_plus(self, x):
         x = np.asarray(x, dtype=complex)
@@ -212,12 +254,6 @@ class SchochetState:
         v = self.v_tilde()
         return np.real(-24.0 * v * xi / (xi**2 + v**2) ** 2)
 
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=2.0, nu=self.nu)
-
 
 # ---------------------------------------------------------------------------
 # a = 1/2, sigma = 1 on the real line (c.c. pair of double poles)
@@ -233,7 +269,7 @@ def _g_implicit(om: float) -> float:
 
 
 @dataclass
-class DoublePoleState:
+class DoublePoleState(PoleState):
     v_c0: float = 1.0
     omega_m2_0: float = 2.0
     x0: float = 0.0
@@ -243,7 +279,6 @@ class DoublePoleState:
     v_c: float = None
     omega_m2: float = None
 
-    domain = Domain.LINE
     params_a = 0.5
     params_sigma = 1.0
 
@@ -259,10 +294,7 @@ class DoublePoleState:
     def omega_ratio0(self) -> float:
         return self.omega_m2_0 / self.v_c0
 
-    def advance(self, t: float) -> "DoublePoleState":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
+    def _at(self, t: float) -> "DoublePoleState":
         if self.omega_ratio0 == 2.0 * self.nu:
             # equilibrium of the amplitude ratio: v_c grows linearly
             v = self.v_c0 + 0.5 * self.nu * t
@@ -311,8 +343,7 @@ class DoublePoleState:
         return _g_implicit(self.omega_m2 / (self.nu * self.v_c))
 
     def similarity_profile(self, xi):
-        if self.classify().kind is not Kind.COLLAPSE:
-            raise NotCollapsingError("amplitude ratio <= 2 nu")
+        self._collapse("amplitude ratio <= 2 nu")
         xi = np.asarray(xi, dtype=float)
         v = self.v_c_tilde()
         return -16.0 * v**3 * xi / (3.0 * (xi**2 + v**2) ** 2)
@@ -324,26 +355,16 @@ class DoublePoleState:
             "l2": np.sqrt(np.pi) * abs(ratio) / np.sqrt(self.v_c),
         }
 
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.5, sigma=1.0, nu=self.nu)
-
 
 # ---------------------------------------------------------------------------
-# a = 0, sigma = 1 on the real line (one c.c. pair of simple poles)
+# one c.c. pair of simple poles: residue omega_{-1}(t) at i v_c(t)
 
 @dataclass
-class OnePairS1State:
+class _OnePair(PoleState):
     omega_m1_0: complex = -2.0
     v_c0: complex = 1.0
     nu: float = 1.0
     t: float = 0.0
-
-    domain = Domain.LINE
-    params_a = 0.0
-    params_sigma = 1.0
 
     def __post_init__(self):
         self.omega_m1_0 = complex(self.omega_m1_0)
@@ -351,23 +372,29 @@ class OnePairS1State:
         if self.v_c0.real <= 0:
             raise ValueError("Re v_c(0) must be positive")
 
+    def evaluate(self, x):
+        return np.real(_pole_pairs(x, (self.omega_m1(), self.v_c())))
+
+    def norms_closed_form(self) -> dict:
+        om, v = self.omega_m1(), self.v_c()
+        return {
+            "linf": (abs(om) + abs(om.imag)) / v.real,
+            "l2": np.sqrt(2.0 * np.pi) * abs(om) / np.sqrt(v.real),
+        }
+
+
+# a = 0, sigma = 1 on the real line
+
+class OnePairS1State(_OnePair):
+    params_a = 0.0
+    params_sigma = 1.0
+
     def omega_m1(self, t: float | None = None) -> complex:
         return self.omega_m1_0
 
     def v_c(self, t: float | None = None) -> complex:
         t = self.t if t is None else t
         return (self.omega_m1_0 + self.nu) * t + self.v_c0
-
-    def advance(self, t: float) -> "OnePairS1State":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=complex)
-        om, v = self.omega_m1(), self.v_c()
-        return np.real(om / (x - 1j * v) + np.conj(om) / (x + 1j * np.conj(v)))
 
     def classify(self) -> Classification:
         om, nu = self.omega_m1_0, self.nu
@@ -381,9 +408,7 @@ class OnePairS1State:
                               beta=1.0)
 
     def similarity_profile(self, xi):
-        cl = self.classify()
-        if cl.kind is not Kind.COLLAPSE:
-            raise NotCollapsingError("Re omega_{-1}(0) >= -nu")
+        cl = self._collapse("Re omega_{-1}(0) >= -nu")
         xi = np.asarray(xi, dtype=complex)
         xp = (1j * self.v_c0 - cl.x_c) / cl.t_c
         xm = (-1j * self.v_c0 - cl.x_c) / cl.t_c
@@ -391,25 +416,12 @@ class OnePairS1State:
                   - (xm - 1j * self.nu) / (xi - xm))
         return np.real(f)
 
-    def norms_closed_form(self) -> dict:
-        om, v = self.omega_m1(), self.v_c()
-        return {
-            "linf": (abs(om) + abs(om.imag)) / v.real,
-            "l2": np.sqrt(2.0 * np.pi) * abs(om) / np.sqrt(v.real),
-        }
-
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=1.0, nu=self.nu)
-
 
 # ---------------------------------------------------------------------------
 # a = 0, sigma = 1 on the real line, two c.c. pairs of simple poles
 
 @dataclass
-class TwoPairS1State:
+class TwoPairS1State(PoleState):
     omega_m1_1_0: complex = -2.0
     omega_m1_2_0: complex = 2.0
     v_c1_0: complex = 0.1
@@ -417,7 +429,6 @@ class TwoPairS1State:
     nu: float = 1.0
     t: float = 0.0
 
-    domain = Domain.LINE
     params_a = 0.0
     params_sigma = 1.0
 
@@ -436,61 +447,30 @@ class TwoPairS1State:
     def c1(self) -> complex:
         return self.omega_m1_1_0 - self.omega_m1_2_0
 
-    def _root(self, ts):
-        dv = self.v_c1_0 - self.v_c2_0
+    def _path(self, ts):
+        """(omega_m1_1, omega_m1_2, v_c1, v_c2) along the times ts, with the
+        square root continued from ts[0] (vectorized)."""
         ts = np.asarray(ts, dtype=float)
-        if self.c0 == 0:
-            rad = 1.0 + 4.0 * self.omega_m1_1_0 * ts / dv
-        else:
-            rad = 1.0 + 2.0 * self.c1 * ts / dv + self.c0**2 * ts**2 / dv**2
-        return _continuous_sqrt(np.asarray(rad, dtype=complex))
+        c0, c1 = self.c0, self.c1
+        dv = self.v_c1_0 - self.v_c2_0
+        vsum = self.v_c1_0 + self.v_c2_0
+        s = _continuous_sqrt(1.0 + 2.0 * c1 * ts / dv + c0**2 * ts**2 / dv**2)
+        om1 = 0.5 * c0 + 0.5 * (c1 + c0**2 * ts / dv) / s
+        v1 = 0.5 * c0 * ts + self.nu * ts + 0.5 * dv * s + 0.5 * vsum
+        return om1, c0 - om1, v1, -v1 + (2.0 * self.nu + c0) * ts + vsum
 
     def values_at(self, t: float):
         """(omega_m1_1, omega_m1_2, v_c1, v_c2) at time t."""
-        dv = self.v_c1_0 - self.v_c2_0
-        vsum = self.v_c1_0 + self.v_c2_0
-        npath = 256
-        ts = np.linspace(0.0, t, npath) if t > 0 else np.array([0.0])
-        s = self._root(ts)[-1]
-        if self.c0 == 0:
-            om1 = self.omega_m1_1_0 / s
-            v1 = self.nu * t + 0.5 * dv * s + 0.5 * vsum
-        else:
-            om1 = 0.5 * self.c0 + 0.5 * (self.c1 + self.c0**2 * t / dv) / s
-            v1 = (0.5 * self.c0 * t + self.nu * t + 0.5 * dv * s + 0.5 * vsum)
-        om2 = self.c0 - om1
-        v2 = -v1 + (2.0 * self.nu + self.c0) * t + vsum
-        return om1, om2, v1, v2
-
-    def advance(self, t: float) -> "TwoPairS1State":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
+        ts = np.linspace(0.0, t, 256) if t > 0 else np.array([0.0])
+        return tuple(p[-1] for p in self._path(ts))
 
     def evaluate(self, x):
-        x = np.asarray(x, dtype=complex)
         om1, om2, v1, v2 = self.values_at(self.t)
-        out = (om1 / (x - 1j * v1) + np.conj(om1) / (x + 1j * np.conj(v1))
-               + om2 / (x - 1j * v2) + np.conj(om2) / (x + 1j * np.conj(v2)))
-        return np.real(out)
+        return np.real(_pole_pairs(x, (om1, v1), (om2, v2)))
 
     def pole_distances(self, t: float) -> tuple[float, float]:
         _, _, v1, v2 = self.values_at(t)
         return v1.real, v2.real
-
-    def _re_v_path(self, ts: np.ndarray, j: int) -> np.ndarray:
-        """Re v_cj along a time path from 0 (branch-continuous, vectorized)."""
-        ts = np.asarray(ts, dtype=float)
-        dv = self.v_c1_0 - self.v_c2_0
-        vsum = self.v_c1_0 + self.v_c2_0
-        s = self._root(ts)
-        drift = self.nu * ts if self.c0 == 0 \
-            else (0.5 * self.c0 + self.nu) * ts
-        v1 = drift + 0.5 * dv * s + 0.5 * vsum
-        if j == 1:
-            return np.real(v1)
-        return np.real(-v1 + (2.0 * self.nu + self.c0) * ts + vsum)
 
     def _vdot(self, j: int, t: float) -> complex:
         om1, om2, _, _ = self.values_at(t)
@@ -502,7 +482,8 @@ class TwoPairS1State:
         for j in (1, 2):
             res = _first_zero(lambda t, j=j: self.pole_distances(t)[j - 1],
                               t_hint=max(1.0, scale),
-                              f_vec=lambda ts, j=j: self._re_v_path(ts, j))
+                              f_vec=lambda ts, j=j: np.real(
+                                  self._path(ts)[j + 1]))
             if res is not None:
                 hits.append((res[0], j, res[1]))
         if not hits:
@@ -521,9 +502,7 @@ class TwoPairS1State:
                               alpha=ab, beta=ab)
 
     def similarity_profile(self, xi):
-        cl = self.classify()
-        if cl.kind is not Kind.COLLAPSE:
-            raise NotCollapsingError("no pole pair reaches the axis")
+        cl = self._collapse("no pole pair reaches the axis")
         xi = np.asarray(xi, dtype=complex)
         eps = 1e-9 * cl.t_c
         om1, om2, v1, v2 = self.values_at(cl.t_c - eps)
@@ -541,15 +520,9 @@ class TwoPairS1State:
                  + np.conj(om) / (xi + 0.5j * np.conj(vdd)))
         return np.real(f)
 
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=1.0, nu=self.nu)
-
 
 @dataclass
-class TwoPairDoublePoleLimitState:
+class TwoPairDoublePoleLimitState(PoleState):
     """Two-pair family seeded by a c.c. pair of double poles.
 
     Initial data w0 = 2iA [ (x - iV_c)^{-2} - (x + iV_c)^{-2} ]; each double
@@ -561,7 +534,6 @@ class TwoPairDoublePoleLimitState:
     nu: float = 1.0
     t: float = 0.0
 
-    domain = Domain.LINE
     params_a = 0.0
     params_sigma = 1.0
 
@@ -574,22 +546,14 @@ class TwoPairDoublePoleLimitState:
         v2 = nu * t + np.sqrt(2.0 * a * t) + vc
         return om1, -om1, v1, v2
 
-    def advance(self, t: float) -> "TwoPairDoublePoleLimitState":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
-
     def evaluate(self, x):
-        x = np.asarray(x, dtype=complex)
         if self.t == 0:
+            x = np.asarray(x, dtype=complex)
             a, vc = self.amplitude, self.v_c
             w = 2j * a * (1.0 / (x - 1j * vc) ** 2 - 1.0 / (x + 1j * vc) ** 2)
             return np.real(w)
         om1, om2, v1, v2 = self.values_at(self.t)
-        out = (om1 / (x - 1j * v1) + om1 / (x + 1j * v1)
-               + om2 / (x - 1j * v2) + om2 / (x + 1j * v2))
-        return np.real(out)
+        return np.real(_pole_pairs(x, (om1, v1), (om2, v2)))
 
     def classify(self) -> Classification:
         a, vc, nu = self.amplitude, self.v_c, self.nu
@@ -604,32 +568,13 @@ class TwoPairDoublePoleLimitState:
                                   x_c=0.0, alpha=2.0, beta=2.0)
         return Classification(Kind.GLOBAL)
 
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=1.0, nu=self.nu)
-
 
 # ---------------------------------------------------------------------------
 # a = 0, sigma = 0 on the real line
 
-@dataclass
-class OnePairS0State:
-    omega_m1_0: complex = -2.0
-    v_c0: complex = 1.0
-    nu: float = 1.0
-    t: float = 0.0
-
-    domain = Domain.LINE
+class OnePairS0State(_OnePair):
     params_a = 0.0
     params_sigma = 0.0
-
-    def __post_init__(self):
-        self.omega_m1_0 = complex(self.omega_m1_0)
-        self.v_c0 = complex(self.v_c0)
-        if self.v_c0.real <= 0:
-            raise ValueError("Re v_c(0) must be positive")
 
     def omega_m1(self, t: float | None = None) -> complex:
         t = self.t if t is None else t
@@ -641,17 +586,6 @@ class OnePairS0State:
             return self.omega_m1_0 * t + self.v_c0
         return (self.omega_m1_0 / self.nu * (1.0 - np.exp(-self.nu * t))
                 + self.v_c0)
-
-    def advance(self, t: float) -> "OnePairS0State":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=complex)
-        om, v = self.omega_m1(), self.v_c()
-        return np.real(om / (x - 1j * v) + np.conj(om) / (x + 1j * np.conj(v)))
 
     def classify(self) -> Classification:
         om, v0, nu = self.omega_m1_0, self.v_c0, self.nu
@@ -671,48 +605,24 @@ class OnePairS0State:
                               alpha=1.0, beta=1.0)
 
     def similarity_profile(self, xi):
-        cl = self.classify()
-        if cl.kind is not Kind.COLLAPSE:
-            raise NotCollapsingError("poles never reach the axis")
+        cl = self._collapse("poles never reach the axis")
         xi = np.asarray(xi, dtype=complex)
         om_c = self.omega_m1(cl.t_c)
         xp, xm = -1j * om_c, 1j * np.conj(om_c)
         f = 1j * (xp / (xi - xp) - xm / (xi - xm))
         return np.real(f)
 
-    def norms_closed_form(self) -> dict:
-        om, v = self.omega_m1(), self.v_c()
-        return {
-            "linf": (abs(om) + abs(om.imag)) / v.real,
-            "l2": np.sqrt(2.0 * np.pi) * abs(om) / np.sqrt(v.real),
-        }
-
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=0.0, nu=self.nu)
-
 
 # ---------------------------------------------------------------------------
 # a = 0, sigma = 0 on the circle: pole in tan(x/2)-space
 
 @dataclass
-class PeriodicPoleState:
+class PeriodicPoleState(_OnePair):
     omega_m1_0: complex = -1.0
-    v_c0: complex = 1.0
-    nu: float = 1.0
-    t: float = 0.0
 
     domain = Domain.CIRCLE
     params_a = 0.0
     params_sigma = 0.0
-
-    def __post_init__(self):
-        self.omega_m1_0 = complex(self.omega_m1_0)
-        self.v_c0 = complex(self.v_c0)
-        if self.v_c0.real <= 0:
-            raise ValueError("Re v_c(0) must be positive")
 
     def _w(self) -> complex:
         """e^{nu t0} = 1 - nu (1 + v_c(0)) / omega_{-1}(0)."""
@@ -733,12 +643,6 @@ class PeriodicPoleState:
             return (self.v_c0 + r) / (1.0 - r)
         w, e = self._w(), np.exp(-self.nu * t)
         return -(1.0 + self.v_c0) * (1.0 - e) / (w - e) + self.v_c0
-
-    def advance(self, t: float) -> "PeriodicPoleState":
-        cl = self.classify()
-        if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
-            raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
-        return dataclasses.replace(self, t=t)
 
     def omega_minus(self, x):
         x = np.asarray(x, dtype=complex)
@@ -809,9 +713,7 @@ class PeriodicPoleState:
                               alpha=1.0, beta=1.0)
 
     def similarity_profile(self, xi):
-        cl = self.classify()
-        if cl.kind is not Kind.COLLAPSE:
-            raise NotCollapsingError("no collapse for this data")
+        cl = self._collapse("no collapse for this data")
         if cl.x_c not in (0.0,):
             raise NotImplementedError(
                 "profile implemented for collapse at x_c = 0 only")
@@ -834,12 +736,6 @@ class PeriodicPoleState:
               * (np.sqrt((vi**2 + (1.0 - vr) ** 2)
                          / (vi**2 + (1.0 + vr) ** 2)) + 1.0))
         return {"linf": float(linf), "l2": float(l2), "b0": float(b0)}
-
-    def field(self, grid_size: int) -> SpectralField:
-        return _field_from(self, grid_size)
-
-    def gclm_params(self) -> GclmParams:
-        return GclmParams(a=0.0, sigma=0.0, nu=self.nu)
 
 
 _FAMILIES = {

@@ -375,6 +375,14 @@ def run(config: RunConfig) -> dict:
         status = series.terminal_status.value
     elif config.mode is Mode.ORACLE_COMPARE:
         state = _family_state(config.initial)
+        # the oracle judges only a run of the equation it solves
+        solves = state.gclm_params()
+        for name in ("a", "sigma", "nu"):
+            got, want = getattr(config.params, name), getattr(solves, name)
+            if got != want:
+                raise ConfigError(
+                    f"params.{name} = {got!r}, but family "
+                    f"{config.initial['family']} solves {name} = {want!r}")
         n0 = config.controls.n0
         field = state.field(n0)
         write_snapshot(field, 0.0,

@@ -305,3 +305,21 @@ class TestSimulate:
         series, state = simulate(f, params, controls)
         assert series.terminal_status is TerminalStatus.REACHED_T_END
         assert series.max_abs_omega[-1] < series.max_abs_omega[0]
+
+    def test_step_sampled_run_records_its_final_state(self):
+        # t_end = 10 is not reached on a multiple of sample_every steps
+        params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
+        series, state = simulate(two_mode_field(0.1, 64), params,
+                                 RunControls(t_end=10.0, n0=64))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert state.step % RunControls().sample_every != 0
+        assert series.t[-1] == state.t
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_end": 0.0}, {"cfl": -1.0}, {"n0": 128, "n_max": 64},
+        {"sample_every": 0}, {"sample_dt": 0.0}, {"sample_dt": -0.1}],
+        ids=["t_end", "cfl", "n_max", "sample_every", "sample_dt_zero",
+             "sample_dt_negative"])
+    def test_invalid_controls_are_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            RunControls(**kwargs)

@@ -439,3 +439,17 @@ class TestFamilyRegistry:
         assert f.domain is st.domain
         assert np.all(np.isfinite(f.values()))
         st.gclm_params().validate(st.domain)
+
+    @pytest.mark.parametrize(
+        "name", sorted(exact._FAMILIES) + ["doublepole_collapsing"])
+    def test_shared_guards(self, name):
+        st = DoublePoleState(omega_m2_0=4.0) \
+            if name == "doublepole_collapsing" else family_from_name(name)
+        cl = st.classify()
+        if name in ("doublepole", "periodic_s0"):  # steady and global
+            assert cl.kind is not Kind.COLLAPSE
+            with pytest.raises(NotCollapsingError):
+                st.similarity_profile(np.linspace(-1.0, 1.0, 5))
+        else:
+            with pytest.raises(PastCollapseError):
+                st.advance(cl.t_c)

@@ -246,6 +246,11 @@ class TestRunModes:
         assert rows[0] == "t,rel_linf_error"
         assert len(rows) == 21
 
+    def test_oracle_compare_rejects_params_of_another_equation(self):
+        text = ORACLE_CFG.replace("sigma = 0.0", "sigma = 1.0")
+        with pytest.raises(ConfigError, match="params.sigma"):
+            run(parse_config(text))
+
     def test_critical_sweep(self, monkeypatch):
         def fake_critical(make_initial, params, bracket, tol, controls,
                           validate_bracket=True):
