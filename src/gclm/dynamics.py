@@ -2,9 +2,9 @@
 
 Pseudo-spectral right-hand sides on the circle and on the compactified real
 line (x = tan(q/2)), an 11-stage order-8 Cooper-Verner Runge-Kutta stepper
-(explicit, or Lawson on the circle's diagonal dissipation), CFL-based step
-control, and an adaptive-resolution driver that doubles the number of
-modes whenever the spectral tail rises above round-off.
+(explicit, or Lawson on the circle's diagonal dissipation), step control
+by its stability interval, and an adaptive-resolution driver that doubles
+the number of modes whenever the spectral tail rises above round-off.
 """
 
 from __future__ import annotations
@@ -84,6 +84,11 @@ _NODES, _STAGE_NODE = np.unique(RK8_C, return_inverse=True)
 _LAWSON_SPAN = float(max(RK8_C[j] - RK8_C[i]
                          for i, j in zip(*np.nonzero(RK8_A))))
 
+#: stability intervals of the tableau on the imaginary and negative real
+#: axes (3.0020 and 3.7154; Hairer & Wanner, Solving ODEs II, IV.2)
+_STAB_IMAG = 3.00
+_STAB_REAL = 3.71
+
 
 # ---------------------------------------------------------------------------
 # right-hand sides, operating on raw coefficient arrays for speed
@@ -152,39 +157,36 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
         # E(s) at the distinct nodes; the exponent is capped where exp
         # would underflow, so that a zero field stays zero (0/0 otherwise)
         decay = np.exp(-np.minimum(_NODES[:, None] * (dt * lin), 700.0))
-    stages = []
+    a = dt * RK8_A
+    k = np.empty((11, c.size), dtype=complex)
     for i in range(11):
-        y = c
-        for j in range(i):
-            aij = RK8_A[i, j]
-            if aij != 0.0:
-                y = y + dt * aij * stages[j]
+        y = c + a[i, :i] @ k[:i]
         if lin is None:
-            stages.append(rhs(y))
+            k[i] = rhs(y)
         else:
             e = decay[_STAGE_NODE[i]]
             y = e * y
-            stages.append((rhs(y) + lin * y) / e)
-    out = c
-    for i, bi in enumerate(RK8_B):
-        if bi != 0.0:
-            out = out + dt * bi * stages[i]
+            k[i] = (rhs(y) + lin * y) / e
+    out = c + (dt * RK8_B) @ k
     return out if lin is None else decay[-1] * out
 
 
 # ---------------------------------------------------------------------------
-# CFL-based step size
+# step size from the stability interval
 
 def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
                 dt_max: float = np.inf) -> float:
-    """Largest stable step from advection, stretching and dissipation rates.
+    """Step size: cfl times the largest step the tableau keeps stable.
 
-    The advection and stretching limits, and the line's explicit
-    dissipation limit, are scaled by cfl. On the circle the dissipation is
-    stepped by Lawson RK8 (see :func:`simulate`), which has no stability
-    limit from it; instead dt <= 1 / (span nu N^sigma), with span =
-    sqrt(21)/7 the largest node gap of the tableau, caps the stage growth
-    of the top mode at e, and is not scaled by cfl.
+    Advection has imaginary eigenvalues up to |a| max|u| N (max|jac u| on
+    the line) and uses the imaginary-axis stability interval 3.00; the
+    line's dissipation nu ((1 + cos q) d_q H^q)^sigma, whose factor has
+    real eigenvalues in [0, 2N], uses the negative-real one, 3.71.
+    Stretching gives the accuracy limit 1 / max|H w|. On the circle the
+    dissipation is stepped by Lawson RK8 (see :func:`simulate`), which has
+    no stability limit from it; instead dt <= 1 / (span nu N^sigma), with
+    span = sqrt(21)/7 the largest node gap of the tableau, caps the stage
+    growth of the top mode at e, and is not scaled by cfl.
     Degenerate pieces (zero coefficient or zero field) impose no limit; a
     zero field returns dt_max.
     """
@@ -192,35 +194,30 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
     if not np.any(c):
         return dt_max
     ops = field.ops
-    dx = np.pi / field.grid_size
+    n = field.grid_size
     limits = []
     hw = ops.phys(ops.hilbert * c)
+    speed = 0.0
     if field.domain is Domain.CIRCLE:
+        stretch = np.max(np.abs(hw))  # u_x = H(w)
         if params.a != 0.0:
             u = ops.phys(ops.velocity * c)
             speed = abs(params.a) * np.max(np.abs(u))
-            if speed > 0:
-                limits.append(dx / speed)
-        stretch = np.max(np.abs(hw))  # u_x = H(w)
-        if stretch > 0:
-            limits.append(1.0 / stretch)
         if params.nu > 0:  # Lawson stage-growth bound, outside cfl
             dt_max = min(dt_max, 1.0 / (
-                _LAWSON_SPAN * params.nu * field.grid_size**params.sigma))
+                _LAWSON_SPAN * params.nu * n**params.sigma))
     else:
         jac_uq = hw - hw[0]  # (1 + cos q) u_q
         stretch = np.max(np.abs(jac_uq))
-        if stretch > 0:
-            limits.append(1.0 / stretch)
         if params.a != 0.0:
             u = ops.line_velocity(jac_uq)
             speed = abs(params.a) * np.max(np.abs(ops.jac * u))
-            if speed > 0:
-                limits.append(dx / speed)
         if params.nu > 0:
-            # spectral-radius bound: each factor of (1+cos q) d/dq
-            # amplifies the highest mode by at most 2/dx
-            limits.append((0.5 * dx) ** params.sigma / params.nu)
+            limits.append(_STAB_REAL / (params.nu * (2 * n)**params.sigma))
+    if stretch > 0:
+        limits.append(1.0 / stretch)
+    if speed > 0:
+        limits.append(_STAB_IMAG / (speed * n))
     if not limits:
         return dt_max
     return min(cfl * min(limits), dt_max)
@@ -238,7 +235,7 @@ class TerminalStatus(enum.Enum):
 @dataclass
 class RunControls:
     t_end: float = 1.0
-    cfl: float = 1.0 / 32.0
+    cfl: float = 0.5  # share of the stability interval (<= 1) per step
     n0: int = 256
     n_max: int = 2**17
     tail_tol: float = 1e-12
@@ -249,8 +246,8 @@ class RunControls:
     sample_dt: float | None = None  # overrides sample_every when set
 
     def __post_init__(self):
-        if self.cfl <= 0 or self.t_end <= 0:
-            raise ValueError("t_end and cfl must be positive")
+        if self.t_end <= 0 or not 0 < self.cfl <= 1:
+            raise ValueError("t_end must be positive and cfl in (0, 1]")
         if self.n_max < self.n0:
             raise ValueError("n_max must be >= n0")
         if self.sample_every < 1:

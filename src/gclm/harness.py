@@ -229,10 +229,16 @@ def config_text(config: RunConfig) -> str:
 # ---------------------------------------------------------------------------
 # initial data construction
 
-def _family_state(initial: dict):
+def _family_state(config: RunConfig):
+    initial = config.initial
     kwargs = {k: v for k, v in initial.items()
               if k not in ("kind", "family")}
-    return exact.family_from_name(initial["family"], **kwargs)
+    state = exact.family_from_name(initial["family"], **kwargs)
+    if state.domain is not config.domain:
+        raise ConfigError(
+            f"family {initial['family']} lives on the "
+            f"{state.domain.value}, config says {config.domain.value}")
+    return state
 
 
 def _initial_field(config: RunConfig) -> SpectralField:
@@ -241,12 +247,7 @@ def _initial_field(config: RunConfig) -> SpectralField:
         return two_mode_field(float(config.initial["amplitude"]),
                               config.controls.n0, config.domain)
     if kind == "pole_family":
-        state = _family_state(config.initial)
-        if state.domain is not config.domain:
-            raise ConfigError(
-                f"family {config.initial['family']} lives on the "
-                f"{state.domain.value}, config says {config.domain.value}")
-        return state.field(config.controls.n0)
+        return _family_state(config).field(config.controls.n0)
     field, _ = read_snapshot(str(config.initial["path"]))
     if field.domain is not config.domain:
         raise ConfigError("snapshot domain disagrees with config")
@@ -337,7 +338,7 @@ def run(config: RunConfig) -> dict:
 
     status = "ok"
     if config.mode is Mode.EXACT_ONLY:
-        state = _family_state(config.initial)
+        state = _family_state(config)
         cl = state.classify()
         _write_json(emit("fit", "fit.json"), {
             "family": config.initial["family"],
@@ -374,7 +375,7 @@ def run(config: RunConfig) -> dict:
                     _aaa_record(final.field, final.t))
         status = series.terminal_status.value
     elif config.mode is Mode.ORACLE_COMPARE:
-        state = _family_state(config.initial)
+        state = _family_state(config)
         # the oracle judges only a run of the equation it solves
         solves = state.gclm_params()
         for name in ("a", "sigma", "nu"):

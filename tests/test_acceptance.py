@@ -51,7 +51,7 @@ def test_criterion_01_pde_matches_pole_dynamics_oracle():
     # half its collapse time and compare against the closed form.
     st = exact.SchochetState()
     t_half = 0.5 * st.classify().t_c
-    controls = RunControls(t_end=t_half, n0=256, cfl=1.0 / 32.0)
+    controls = RunControls(t_end=t_half, n0=256)
     series, final = simulate(st.field(256), st.gclm_params(), controls)
     assert series.terminal_status is TerminalStatus.REACHED_T_END
     ref = st.advance(final.t).field(final.field.grid_size)

@@ -12,6 +12,8 @@ import pytest
 
 from gclm import exact
 from gclm.dynamics import (
+    _STAB_IMAG,
+    _STAB_REAL,
     RK8_A,
     RK8_B,
     RK8_C,
@@ -75,6 +77,33 @@ class TestTableau:
         for h in (0.5, 0.25):
             err = abs(rk8_step(c0, h, rhs)[0] - np.exp(-h))
             assert err < 2.0 * h**9
+
+
+def stability_function(z):
+    """R(z) = 1 + z b^T (I - zA)^-1 1 of the tableau."""
+    return 1.0 + z * (RK8_B @ np.linalg.solve(np.eye(11) - z * RK8_A,
+                                              np.ones(11)))
+
+
+class TestStabilityInterval:
+    @pytest.mark.parametrize("axis, bound", [(1j, _STAB_IMAG),
+                                             (-1.0, _STAB_REAL)],
+                             ids=["imaginary", "negative_real"])
+    def test_constants_bound_the_stability_interval(self, axis, bound):
+        inside = [abs(stability_function(axis * s))
+                  for s in np.linspace(bound / 3000, bound, 3000)]
+        assert max(inside) <= 1.0
+        assert abs(stability_function(axis * 1.01 * bound)) > 1.0
+
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    def test_line_dissipation_spectral_radius_is_below_2n(self, n):
+        # the bound adaptive_dt uses: ||1 + cos q||_inf = 2 and |k| <= N;
+        # dense grid-space matrix of the discrete (1 + cos q) d_q H^q
+        ops = operators(n, Domain.LINE)
+        cols = [ops.jac * ops.phys(ops.kabs * ops.spec(e))
+                for e in np.eye(2 * n)]
+        eig = np.linalg.eigvals(np.array(cols).T)
+        assert 1.85 * n <= np.max(np.abs(eig)) <= 2.0 * n
 
 
 class TestLawsonStep:
@@ -315,11 +344,27 @@ class TestSimulate:
         assert state.step % RunControls().sample_every != 0
         assert series.t[-1] == state.t
 
+    @pytest.mark.parametrize("cfl", [RunControls().cfl, 1.0])
+    def test_line_steps_stay_stable_up_to_cfl_one(self, cfl):
+        # sigma = 2 on the line: the dissipation limit binds, and a step
+        # outside the stability interval would read as tail growth and
+        # refine
+        st = exact.SchochetState()
+        t1 = 0.5 * st.classify().t_c
+        series, state = simulate(st.field(64), st.gclm_params(),
+                                 RunControls(t_end=t1, n0=64, cfl=cfl))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert state.n_refinements == 0
+        assert state.step <= 200
+        ref = st.advance(state.t).field(64).values()
+        err = np.max(np.abs(state.field.values() - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12
+
     @pytest.mark.parametrize("kwargs", [
-        {"t_end": 0.0}, {"cfl": -1.0}, {"n0": 128, "n_max": 64},
+        {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},
         {"sample_every": 0}, {"sample_dt": 0.0}, {"sample_dt": -0.1}],
-        ids=["t_end", "cfl", "n_max", "sample_every", "sample_dt_zero",
-             "sample_dt_negative"])
+        ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_every",
+             "sample_dt_zero", "sample_dt_negative"])
     def test_invalid_controls_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunControls(**kwargs)

@@ -251,6 +251,12 @@ class TestRunModes:
         with pytest.raises(ConfigError, match="params.sigma"):
             run(parse_config(text))
 
+    def test_oracle_compare_rejects_a_family_of_another_domain(self):
+        text = (ORACLE_CFG.replace("domain = line", "domain = circle")
+                .replace("t_end = 1.0", "t_end = 0.05"))
+        with pytest.raises(ConfigError, match="lives on the line"):
+            run(parse_config(text))
+
     def test_critical_sweep(self, monkeypatch):
         def fake_critical(make_initial, params, bracket, tol, controls,
                           validate_bracket=True):
