@@ -226,6 +226,11 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
 # ---------------------------------------------------------------------------
 # simulation driver
 
+#: sampling of :func:`simulate`: time-grid intervals and max|w| growth factor
+SAMPLE_GRID = 32
+SAMPLE_GROWTH = 1.25
+
+
 class TerminalStatus(enum.Enum):
     REACHED_T_END = "ReachedTEnd"
     COLLAPSE_DETECTED = "CollapseDetected"
@@ -234,6 +239,8 @@ class TerminalStatus(enum.Enum):
 
 @dataclass
 class RunControls:
+    """Run limits; samples follow the sample_dt grid and max|w| growth."""
+
     t_end: float = 1.0
     cfl: float = 0.5  # share of the stability interval (<= 1) per step
     n0: int = 256
@@ -242,16 +249,13 @@ class RunControls:
     tail_trust: float = 1e-3
     collapse_delta_factor: float = 5.0
     dt_max: float = np.inf
-    sample_every: int = 20          # record every this many accepted steps
-    sample_dt: float | None = None  # overrides sample_every when set
+    sample_dt: float | None = None  # None: t_end / SAMPLE_GRID
 
     def __post_init__(self):
         if self.t_end <= 0 or not 0 < self.cfl <= 1:
             raise ValueError("t_end must be positive and cfl in (0, 1]")
         if self.n_max < self.n0:
             raise ValueError("n_max must be >= n0")
-        if self.sample_every < 1:
-            raise ValueError("sample_every must be >= 1")
         if self.sample_dt is not None and not self.sample_dt > 0:
             raise ValueError("sample_dt must be positive when set")
 
@@ -369,7 +373,10 @@ def simulate(initial: SpectralField, params: GclmParams,
     CollapseDetected when the fitted singularity distance falls below
     collapse_delta_factor grid spacings or a stage goes non-finite;
     ResolutionCapHit when the capped tail degrades past tail_trust first.
-    The series ends with a sample of the final state, whatever the status.
+    Samples (each tested for collapse): t = 0; each accepted step that
+    passes a point k * sample_dt of the time grid or takes max|w| past
+    SAMPLE_GROWTH times its last sample (evenly in log(t_c - t) near a
+    collapse); the final state. No step is shortened to land on the grid.
     """
     params.validate(initial.domain)
     field = initial.copy()
@@ -377,49 +384,33 @@ def simulate(initial: SpectralField, params: GclmParams,
         field = field.zero_pad(controls.n0 // field.grid_size)
     series = TimeSeries()
     state = SimState(field=field, t=0.0)
-    sample_dt = controls.sample_dt
+    sample_dt = controls.sample_dt or controls.t_end / SAMPLE_GRID
     lawson = field.domain is Domain.CIRCLE and params.nu != 0.0
     rhs = Rhs(field.domain, params, field.grid_size)
     at_cap = False
-    next_sample = 0.0
-    last_sampled = -np.inf
 
-    def record():
-        nonlocal last_sampled
+    def record() -> bool:
+        """Sample the state; True when its collapse is resolved."""
         row = _sample_row(state.field, state.t)
         dq = row.pop("_delta_q")
         series.append(**row)
-        last_sampled = state.t
-        return dq
+        return collapse_resolved(dq)
 
     def finish(status):
-        if state.t > last_sampled:
+        if state.t > series.t[-1]:
             record()
         series.terminal_status = status
         return series, state
 
-    def collapse_resolved(dq: float) -> bool:
-        if not np.isfinite(dq):
-            return False
-        return dq < controls.collapse_delta_factor * np.pi / state.field.grid_size
+    def collapse_resolved(dq: float) -> bool:  # a NaN (no fit) is False
+        n = state.field.grid_size
+        return dq < controls.collapse_delta_factor * np.pi / n
 
-    while True:
-        due = (state.t >= next_sample - 1e-14) if sample_dt else \
-            (state.step % controls.sample_every == 0)
-        if due and state.t > last_sampled or state.step == 0 and \
-                last_sampled == -np.inf:
-            dq = record()
-            if sample_dt:
-                next_sample += sample_dt
-            if collapse_resolved(dq):
-                series.terminal_status = TerminalStatus.COLLAPSE_DETECTED
-                return series, state
-        if state.t >= controls.t_end - 1e-14 * controls.t_end:
-            return finish(TerminalStatus.REACHED_T_END)
+    if record():
+        return finish(TerminalStatus.COLLAPSE_DETECTED)
+    while state.t < controls.t_end - 1e-14 * controls.t_end:
         dt = adaptive_dt(state.field, params, controls.cfl, controls.dt_max)
         dt = min(dt, controls.t_end - state.t)
-        if sample_dt and next_sample > state.t:
-            dt = min(dt, next_sample - state.t)
         new_c = rk8_step(state.field.coeffs, dt, rhs,
                          rhs.diss if lawson else None)
         if not np.all(np.isfinite(new_c)):
@@ -448,3 +439,8 @@ def simulate(initial: SpectralField, params: GclmParams,
                     return finish(TerminalStatus.COLLAPSE_DETECTED)
             except tracker.SpectrumTooCleanError:
                 pass
+        if (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
+                or np.max(np.abs(state.field.values()))
+                > SAMPLE_GROWTH * series.max_abs_omega[-1]) and record():
+            return finish(TerminalStatus.COLLAPSE_DETECTED)
+    return finish(TerminalStatus.REACHED_T_END)

@@ -79,11 +79,11 @@ class Classification:
 
 def _continuous_sqrt(path: np.ndarray) -> np.ndarray:
     """Square root along a sampled path, principal branch at the start,
-    sign-flipped whenever consecutive values would jump branches."""
+    sign-flipped whenever consecutive values would jump branches (a flip
+    negates both values of each later pair, so jumps are judged unflipped)."""
     s = np.sqrt(path.astype(complex))
-    for i in range(1, s.size):
-        if abs(s[i] - s[i - 1]) > abs(s[i] + s[i - 1]):
-            s[i:] = -s[i:]
+    jump = np.abs(s[1:] - s[:-1]) > np.abs(s[1:] + s[:-1])
+    s[1:] = np.where(np.logical_xor.accumulate(jump), -s[1:], s[1:])
     return s
 
 

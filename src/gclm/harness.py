@@ -34,6 +34,7 @@ import json
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
@@ -159,6 +160,9 @@ def parse_config(source) -> RunConfig:
 
     cvals = {k: _parse_scalar(v) for k, v in cp.items("controls")} \
         if cp.has_section("controls") else {}
+    if cvals.pop("sample_every", None) is not None:  # older configs
+        warnings.warn("controls.sample_every is retired: samples follow a "
+                      "time grid and max|w| growth", DeprecationWarning, 2)
     try:
         controls = RunControls(**cvals)
     except (TypeError, ValueError) as e:

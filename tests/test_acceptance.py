@@ -91,7 +91,7 @@ def test_criterion_02_misfit_is_first_order_in_tau():
 def test_criterion_03_periodic_collapse_rates():
     # a=1/2, sigma=1, nu=1, two-mode amplitude 4 on the circle
     params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
-    controls = RunControls(t_end=1.4, n0=256, n_max=2**15, sample_every=10)
+    controls = RunControls(t_end=1.4, n0=256, n_max=2**15)
     series, final = simulate(two_mode_field(4.0, 256), params, controls)
     assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
     fit = fit_collapse(series)

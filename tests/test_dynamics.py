@@ -10,13 +10,15 @@ import io
 import numpy as np
 import pytest
 
-from gclm import exact
+from gclm import dynamics, exact
+from gclm.collapse import _fit_window
 from gclm.dynamics import (
     _STAB_IMAG,
     _STAB_REAL,
     RK8_A,
     RK8_B,
     RK8_C,
+    SAMPLE_GROWTH,
     Rhs,
     RunControls,
     TerminalStatus,
@@ -321,10 +323,18 @@ class TestSimulate:
         assert state.field.grid_size > 64
 
     def test_sample_dt_controls_cadence(self):
+        # with steps shorter than sample_dt, every grid interval the run
+        # covers holds a sample
         st = exact.OnePairS0State(omega_m1_0=-0.5, v_c0=1.0, nu=1.0)
-        controls = RunControls(t_end=0.5, n0=64, sample_dt=0.1)
-        series, _ = simulate(st.field(64), st.gclm_params(), controls)
-        assert np.allclose(np.diff(series.t), 0.1, atol=1e-10)
+        controls = RunControls(t_end=0.5, n0=64, sample_dt=0.1, dt_max=0.03)
+        series, state = simulate(st.field(64), st.gclm_params(), controls)
+        intervals = np.floor(series.t / 0.1).astype(int)
+        assert set(range(5)) <= set(intervals)
+        assert series.t[-1] == state.t
+        # longer steps are not cut to land on the grid
+        controls.dt_max = np.inf
+        _, state = simulate(st.field(64), st.gclm_params(), controls)
+        assert state.step < 5
 
     def test_decaying_solution_reaches_t_end(self):
         f = SpectralField.from_function(
@@ -336,13 +346,45 @@ class TestSimulate:
         assert series.max_abs_omega[-1] < series.max_abs_omega[0]
 
     def test_step_sampled_run_records_its_final_state(self):
-        # t_end = 10 is not reached on a multiple of sample_every steps
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
         series, state = simulate(two_mode_field(0.1, 64), params,
                                  RunControls(t_end=10.0, n0=64))
         assert series.terminal_status is TerminalStatus.REACHED_T_END
-        assert state.step % RunControls().sample_every != 0
         assert series.t[-1] == state.t
+
+    def test_sample_count_does_not_depend_on_step_size(self):
+        # the small-data decay of the benchmark, at its own step and at a
+        # step about five times shorter
+        params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
+        runs = [simulate(two_mode_field(0.1, 64), params,
+                         RunControls(t_end=10.0, n0=64, dt_max=dt_max))
+                for dt_max in (np.inf, 0.005)]
+        (coarse, coarse_state), (fine, fine_state) = runs
+        assert fine_state.step > 4 * coarse_state.step
+        assert len(fine) == len(coarse)
+
+    def test_growth_trigger_spaces_samples_near_collapse(self, monkeypatch):
+        # one sample per SAMPLE_GROWTH of max|w| at most: consecutive
+        # samples of the final window differ by less than that factor
+        # times the largest growth of a single step
+        growth = []
+
+        def traced_step(c, dt, rhs, lin=None):
+            out = rk8_step(c, dt, rhs, lin)
+            if np.all(np.isfinite(out)):
+                amp = [np.max(np.abs(SpectralField(v, Domain.CIRCLE).values()))
+                       for v in (c, out)]
+                growth.append(amp[1] / amp[0])
+            return out
+
+        monkeypatch.setattr(dynamics, "rk8_step", traced_step)
+        st = exact.PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)
+        controls = RunControls(t_end=1.2 * st.classify().t_c, n0=128,
+                               n_max=2048)
+        series, _ = simulate(st.field(128), st.gclm_params(), controls)
+        assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
+        amp = series.max_abs_omega[_fit_window(series, 0.25)]
+        assert np.all(amp[1:] / amp[:-1] < SAMPLE_GROWTH * max(growth))
 
     @pytest.mark.parametrize("cfl", [RunControls().cfl, 1.0])
     def test_line_steps_stay_stable_up_to_cfl_one(self, cfl):
@@ -362,9 +404,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kwargs", [
         {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},
-        {"sample_every": 0}, {"sample_dt": 0.0}, {"sample_dt": -0.1}],
-        ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_every",
-             "sample_dt_zero", "sample_dt_negative"])
+        {"sample_dt": 0.0}, {"sample_dt": -0.1}],
+        ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_dt_zero",
+             "sample_dt_negative"])
     def test_invalid_controls_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunControls(**kwargs)

@@ -202,6 +202,37 @@ class TestOnePairS1:
         assert np.max(np.abs(resc - prof)) < 1e-4 * np.max(np.abs(prof))
 
 
+def loop_continuous_sqrt(path):
+    """Reference: flip the whole tail at each branch jump, one at a time."""
+    s = np.sqrt(path.astype(complex))
+    for i in range(1, s.size):
+        if abs(s[i] - s[i - 1]) > abs(s[i] + s[i - 1]):
+            s[i:] = -s[i:]
+    return s
+
+
+class TestContinuousSqrt:
+    @pytest.mark.parametrize("path", [
+        # winds three times round 0 and wiggles back over the cut
+        (lambda t: (1.0 + t) * np.exp(1j * (6.0 * np.pi * t
+                                             + 1.5 * np.sin(13.0 * t)))),
+        # real, through zero and back several times (signed zeros)
+        (lambda t: np.cos(9.0 * t) - 0.2)],
+        ids=["winding", "real"])
+    def test_matches_the_tail_flipping_loop_bit_for_bit(self, path):
+        z = path(np.linspace(0.0, 1.0, 2001))
+        want = loop_continuous_sqrt(z)
+        got = exact._continuous_sqrt(z)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.max(np.abs(np.diff(got))) < 0.1  # no branch jump left
+
+    def test_follows_the_analytic_branch_round_the_origin(self):
+        t = np.linspace(0.0, 1.0, 2001)
+        theta = 6.0 * np.pi * t
+        got = exact._continuous_sqrt(np.exp(1j * theta))
+        assert np.allclose(got, np.exp(0.5j * theta), atol=1e-12)
+
+
 class TestTwoPairS1:
     def test_total_residue_is_conserved_exactly(self):
         st = TwoPairS1State()

@@ -151,6 +151,14 @@ class TestConfigParsing:
         again = config_text(parse_config(text))
         assert again == text
 
+    def test_retired_sample_every_is_dropped_with_a_warning(self):
+        text = SIM_CFG + "sample_every = 10\n"
+        with pytest.warns(DeprecationWarning,
+                          match="^controls.sample_every is retired"):
+            config = parse_config(text)
+        assert config.controls == parse_config(SIM_CFG).controls
+        assert "sample_every" not in config_text(config)
+
     def test_write_config_to_path(self, tmp_path):
         config = parse_config(ORACLE_CFG)
         path = tmp_path / "echo.cfg"

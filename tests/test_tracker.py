@@ -158,8 +158,7 @@ class TestSimulationDelta:
 
         st_ = exact.PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)
         t_c = st_.classify().t_c
-        controls = RunControls(t_end=1.2 * t_c, n0=128, n_max=2048,
-                               sample_every=10)
+        controls = RunControls(t_end=1.2 * t_c, n0=128, n_max=2048)
         series, _ = simulate(st_.field(128), st_.gclm_params(), controls)
         dx = series.delta_x[np.isfinite(series.delta_x)]
         tail = dx[-max(4, dx.size // 5):]
