@@ -39,6 +39,9 @@ BLOWUP_GROWTH = 1e4
 #: excluded from the exponent regressions (see fit_collapse)
 EXPONENT_TRIM = 0.25
 
+#: share of the samples, the last ones, that fit_collapse fits
+WINDOW_FRACTION = 0.25
+
 
 class NoCollapseSignalError(ValueError):
     """The amplitude never grew enough to justify a collapse-rate fit."""
@@ -57,21 +60,20 @@ class CollapseFit:
     beta_residual: float
     alpha_residual: float
     n_samples: int
-    window_fraction: float = 0.25
+    window_fraction: float = WINDOW_FRACTION
 
 
-def _fit_window(series: TimeSeries, window_fraction: float) -> np.ndarray:
+def _fit_window(series: TimeSeries) -> np.ndarray:
     """Indices of the final window (by count), at least 5 samples."""
     n = len(series)
-    lo = min(n - 5, int(n * (1.0 - window_fraction)))
+    lo = min(n - 5, int(n * (1.0 - WINDOW_FRACTION)))
     return np.arange(max(lo, 0), n)
 
 
-def fit_collapse(series: TimeSeries,
-                 window_fraction: float = 0.25) -> CollapseFit:
+def fit_collapse(series: TimeSeries) -> CollapseFit:
     """Least-squares (C, t_c, beta) on log max|w|, then alpha from delta_x.
 
-    t_c comes from a nonlinear fit over the final window_fraction of the
+    t_c comes from a nonlinear fit over the final WINDOW_FRACTION of the
     samples.  The exponents are then refit linearly in log-log over the same
     window with the quarter of the log(t_c - t) range nearest the
     singularity excluded: there the singularity distance spans only a few
@@ -87,7 +89,7 @@ def fit_collapse(series: TimeSeries,
     if growth < 10.0**MIN_GROWTH_DECADES:
         raise NoCollapseSignalError(
             f"amplitude grew only {np.log10(growth):.2f} decades")
-    idx = _fit_window(series, window_fraction)
+    idx = _fit_window(series)
     t, y = series.t[idx], np.log(amp[idx])
 
     # seed t_c by linear extrapolation of the last doubling time
@@ -141,8 +143,7 @@ def fit_collapse(series: TimeSeries,
     return CollapseFit(amplitude=float(np.exp(log_c)), t_c=float(t_c),
                        beta=float(beta), alpha=alpha,
                        beta_residual=beta_res, alpha_residual=alpha_res,
-                       n_samples=int(idx.size),
-                       window_fraction=window_fraction)
+                       n_samples=int(idx.size))
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +163,6 @@ class CriticalAmplitude:
     upper: float
     n_probes: int
     probes: list[ProbeRecord] = field(default_factory=list)
-    a_param: float = np.nan
-    sigma: float = np.nan
-    nu: float = np.nan
 
     @property
     def a_no_blowup(self) -> float:
@@ -173,10 +171,6 @@ class CriticalAmplitude:
     @property
     def a_blowup(self) -> float:
         return self.upper
-
-    @property
-    def estimate(self) -> float:
-        return 0.5 * (self.lower + self.upper)
 
 
 def blow_up_verdict(series: TimeSeries) -> bool:
@@ -243,6 +237,4 @@ def critical_amplitude(make_initial, params: GclmParams,
         else:
             lo = mid
     return CriticalAmplitude(lower=lo, upper=hi, n_probes=len(probes),
-                             probes=endpoint_probes + probes,
-                             a_param=params.a, sigma=params.sigma,
-                             nu=params.nu)
+                             probes=endpoint_probes + probes)

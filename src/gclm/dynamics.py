@@ -16,10 +16,12 @@ import numpy as np
 
 from gclm import tracker
 from gclm.spectral import (
+    FIELDS,
     Domain,
     GclmParams,
     SpectralField,
     norms,
+    open_stream,
     operators,
 )
 
@@ -94,41 +96,36 @@ _STAB_REAL = 3.71
 # right-hand sides, operating on raw coefficient arrays for speed
 
 class Rhs:
-    """Evaluates d(w_hat)/dt for a fixed domain, parameter set and N."""
+    """Evaluates d(w_hat)/dt for a fixed domain, parameter set and N.
+
+    ``diss`` records the dissipation treatment: the diagonal symbol
+    nu |k|^sigma, applied exactly by Lawson steps, on the circle with
+    nu != 0; None elsewhere, where any dissipation is explicit.
+    """
 
     def __init__(self, domain: Domain, params: GclmParams, grid_size: int):
         params.validate(domain)
-        self.domain = domain
         self.params = params
         self.n = grid_size
         self.ops = operators(grid_size, domain)
-        #: circle dissipation symbol nu |k|^sigma (0**0 = 1, so sigma = 0
-        #: damps the mean too)
-        self.diss = params.nu * self.ops.kabs**params.sigma
+        #: the grid fields of the nonlinear term (w + omega_av) u_x - a u w_x
+        self.names = FIELDS if params.a != 0.0 else FIELDS[:2]
+        #: 0**0 = 1, so sigma = 0 damps the mean too
+        self.diss = (params.nu * self.ops.kabs**params.sigma
+                     if domain is Domain.CIRCLE and params.nu != 0.0
+                     else None)
 
     def __call__(self, c: np.ndarray) -> np.ndarray:
         p, ops = self.params, self.ops
-        if self.domain is Domain.CIRCLE:
-            if p.a != 0.0:
-                w, hw, u, wx = ops.phys_stack(c, 4)
-                nl = (w + p.omega_av) * hw - p.a * u * wx
-            else:
-                w, hw = ops.phys_stack(c, 2)
-                nl = (w + p.omega_av) * hw
-            nl_hat = ops.spec(nl)
-            nl_hat[0] = 0.0  # exact mean conservation
-            return nl_hat - self.diss * c if p.nu != 0.0 else nl_hat
-        # compactified line
-        w = ops.phys(c)
-        hw = ops.phys(ops.hilbert * c)
-        # (1 + cos q) u_q = H^q w + C[w], and C[w] = -H^q w at node 0 (q = -pi)
-        jac_uq = hw - hw[0]
-        nl = w * jac_uq
-        if p.a != 0.0:
-            u = ops.line_velocity(jac_uq)
-            wq = ops.phys(ops.ik * c)
-            nl = nl - p.a * ops.jac * u * wq
+        w, ux, *adv = ops.fields(c, self.names)
+        nl = (w + p.omega_av) * ux
+        if adv:
+            u, wx = adv
+            nl = nl - p.a * u * wx
         out = ops.spec(nl)
+        if ops.domain is Domain.CIRCLE:
+            out[0] = 0.0  # exact mean conservation
+            return out if self.diss is None else out - self.diss * c
         if p.nu != 0.0:
             # sigma applications of (1 + cos q) d_q H^q; the symbol of
             # d_q H^q is ik (-i sgn k) = |k|
@@ -174,53 +171,36 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
 # ---------------------------------------------------------------------------
 # step size from the stability interval
 
-def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
+def adaptive_dt(c: np.ndarray, rhs: Rhs, cfl: float,
                 dt_max: float = np.inf) -> float:
-    """Step size: cfl times the largest step the tableau keeps stable.
+    """Step size for coefficients c: cfl times the largest step the
+    tableau keeps stable for ``rhs``.
 
-    Advection has imaginary eigenvalues up to |a| max|u| N (max|jac u| on
-    the line) and uses the imaginary-axis stability interval 3.00; the
-    line's dissipation nu ((1 + cos q) d_q H^q)^sigma, whose factor has
-    real eigenvalues in [0, 2N], uses the negative-real one, 3.71.
-    Stretching gives the accuracy limit 1 / max|H w|. On the circle the
-    dissipation is stepped by Lawson RK8 (see :func:`simulate`), which has
-    no stability limit from it; instead dt <= 1 / (span nu N^sigma), with
-    span = sqrt(21)/7 the largest node gap of the tableau, caps the stage
-    growth of the top mode at e, and is not scaled by cfl.
-    Degenerate pieces (zero coefficient or zero field) impose no limit; a
-    zero field returns dt_max.
+    Advection has imaginary eigenvalues up to |a| max|u dq/dx| N and uses
+    the imaginary-axis stability interval 3.00; stretching gives the
+    accuracy limit 1 / max|u_x|. Lawson steps (``rhs.diss`` set) have no
+    stability limit from the dissipation; instead dt <= 1 / (span max
+    diss), with span = sqrt(21)/7 the largest node gap of the tableau,
+    caps the stage growth of the top mode at e, and is not scaled by cfl.
+    Otherwise the line's dissipation nu ((1 + cos q) d_q H^q)^sigma, whose
+    factor has real eigenvalues in [0, 2N], uses the negative-real
+    interval 3.71. Degenerate pieces (zero coefficient or zero field)
+    impose no limit; a zero field returns dt_max.
     """
-    c = field.coeffs
     if not np.any(c):
         return dt_max
-    ops = field.ops
-    n = field.grid_size
-    limits = []
-    hw = ops.phys(ops.hilbert * c)
-    speed = 0.0
-    if field.domain is Domain.CIRCLE:
-        stretch = np.max(np.abs(hw))  # u_x = H(w)
-        if params.a != 0.0:
-            u = ops.phys(ops.velocity * c)
-            speed = abs(params.a) * np.max(np.abs(u))
-        if params.nu > 0:  # Lawson stage-growth bound, outside cfl
-            dt_max = min(dt_max, 1.0 / (
-                _LAWSON_SPAN * params.nu * n**params.sigma))
-    else:
-        jac_uq = hw - hw[0]  # (1 + cos q) u_q
-        stretch = np.max(np.abs(jac_uq))
-        if params.a != 0.0:
-            u = ops.line_velocity(jac_uq)
-            speed = abs(params.a) * np.max(np.abs(ops.jac * u))
-        if params.nu > 0:
-            limits.append(_STAB_REAL / (params.nu * (2 * n)**params.sigma))
-    if stretch > 0:
-        limits.append(1.0 / stretch)
+    p = rhs.params
+    ux, *u = rhs.ops.fields(c, ("ux", "u") if p.a != 0.0 else ("ux",))
+    stretch = np.max(np.abs(ux))
+    speed = abs(p.a) * np.max(np.abs(rhs.ops.jac * u[0])) if u else 0.0
+    limits = [1.0 / stretch] if stretch > 0 else []
     if speed > 0:
-        limits.append(_STAB_IMAG / (speed * n))
-    if not limits:
-        return dt_max
-    return min(cfl * min(limits), dt_max)
+        limits.append(_STAB_IMAG / (speed * rhs.n))
+    if rhs.diss is not None:  # Lawson stage-growth bound, outside cfl
+        dt_max = min(dt_max, 1.0 / (_LAWSON_SPAN * np.max(rhs.diss)))
+    elif p.nu > 0:
+        limits.append(_STAB_REAL / (p.nu * (2 * rhs.n)**p.sigma))
+    return min(cfl * min(limits), dt_max) if limits else dt_max
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +209,11 @@ def adaptive_dt(field: SpectralField, params: GclmParams, cfl: float,
 #: sampling of :func:`simulate`: time-grid intervals and max|w| growth factor
 SAMPLE_GRID = 32
 SAMPLE_GROWTH = 1.25
+
+#: refinement and collapse thresholds of :func:`simulate` (see there)
+TAIL_TOL = 1e-12
+TAIL_TRUST = 1e-3
+COLLAPSE_DELTA_FACTOR = 5.0
 
 
 class TerminalStatus(enum.Enum):
@@ -239,15 +224,16 @@ class TerminalStatus(enum.Enum):
 
 @dataclass
 class RunControls:
-    """Run limits; samples follow the sample_dt grid and max|w| growth."""
+    """Run limits; samples follow the sample_dt grid and max|w| growth.
+
+    The refinement and collapse thresholds are the module constants
+    TAIL_TOL, TAIL_TRUST and COLLAPSE_DELTA_FACTOR.
+    """
 
     t_end: float = 1.0
     cfl: float = 0.5  # share of the stability interval (<= 1) per step
     n0: int = 256
     n_max: int = 2**17
-    tail_tol: float = 1e-12
-    tail_trust: float = 1e-3
-    collapse_delta_factor: float = 5.0
     dt_max: float = np.inf
     sample_dt: float | None = None  # None: t_end / SAMPLE_GRID
 
@@ -296,9 +282,7 @@ class TimeSeries:
             setattr(self, name, np.append(arr, row[name]))
 
     def to_csv(self, fh) -> None:
-        own = isinstance(fh, (str, bytes))
-        stream = open(fh, "w") if own else fh
-        try:
+        with open_stream(fh, "w") as stream:
             stream.write(f"# status={self.terminal_status.value}\n")
             stream.write(",".join(CSV_COLUMNS) + "\n")
             cols = [getattr(self, name) for name in CSV_COLUMNS]
@@ -306,15 +290,10 @@ class TimeSeries:
                 cells = [repr(int(v)) if name == "n_modes" else repr(float(v))
                          for name, v in zip(CSV_COLUMNS, row)]
                 stream.write(",".join(cells) + "\n")
-        finally:
-            if own:
-                stream.close()
 
     @classmethod
     def from_csv(cls, fh) -> "TimeSeries":
-        own = isinstance(fh, (str, bytes))
-        stream = open(fh) if own else fh
-        try:
+        with open_stream(fh) as stream:
             status = TerminalStatus.REACHED_T_END
             header = stream.readline().strip()
             if header.startswith("#"):
@@ -324,9 +303,6 @@ class TimeSeries:
             if tuple(names) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV columns {names}")
             rows = [line.split(",") for line in stream if line.strip()]
-        finally:
-            if own:
-                stream.close()
         data = np.array(rows, dtype=float) if rows else np.empty((0, 9))
         out = cls(terminal_status=status)
         for i, name in enumerate(CSV_COLUMNS):
@@ -360,19 +336,19 @@ def simulate(initial: SpectralField, params: GclmParams,
              controls: RunControls) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
-    Steps are Cooper-Verner RK8 (:func:`rk8_step`). On the circle with
-    nu != 0 they are Lawson steps on the diagonal dissipation nu |k|^sigma,
-    so dt is set by advection, stretching and the Lawson stage-growth
-    bound of :func:`adaptive_dt`; on the line they are explicit.
+    Steps are Cooper-Verner RK8 (:func:`rk8_step`) given ``Rhs.diss``:
+    Lawson steps on the diagonal dissipation nu |k|^sigma where it is set
+    (the circle with nu != 0), explicit ones elsewhere; :func:`adaptive_dt`
+    sizes them from the same record.
 
     A step whose result pushes the top of the spectrum above
-    tail_tol * max|w_k| is rewound and retried at doubled resolution.
+    TAIL_TOL * max|w_k| is rewound and retried at doubled resolution.
     Once refinement would exceed n_max, integration continues at n_max as
-    long as the tail stays below the (looser) tail_trust threshold, so an
+    long as the tail stays below the (looser) TAIL_TRUST threshold, so an
     imminent collapse can still be recognised.  Termination: ReachedTEnd;
     CollapseDetected when the fitted singularity distance falls below
-    collapse_delta_factor grid spacings or a stage goes non-finite;
-    ResolutionCapHit when the capped tail degrades past tail_trust first.
+    COLLAPSE_DELTA_FACTOR grid spacings or a stage goes non-finite;
+    ResolutionCapHit when the capped tail degrades past TAIL_TRUST first.
     Samples (each tested for collapse): t = 0; each accepted step that
     passes a point k * sample_dt of the time grid or takes max|w| past
     SAMPLE_GROWTH times its last sample (evenly in log(t_c - t) near a
@@ -385,7 +361,6 @@ def simulate(initial: SpectralField, params: GclmParams,
     series = TimeSeries()
     state = SimState(field=field, t=0.0)
     sample_dt = controls.sample_dt or controls.t_end / SAMPLE_GRID
-    lawson = field.domain is Domain.CIRCLE and params.nu != 0.0
     rhs = Rhs(field.domain, params, field.grid_size)
     at_cap = False
 
@@ -404,21 +379,21 @@ def simulate(initial: SpectralField, params: GclmParams,
 
     def collapse_resolved(dq: float) -> bool:  # a NaN (no fit) is False
         n = state.field.grid_size
-        return dq < controls.collapse_delta_factor * np.pi / n
+        return dq < COLLAPSE_DELTA_FACTOR * np.pi / n
 
     if record():
         return finish(TerminalStatus.COLLAPSE_DETECTED)
     while state.t < controls.t_end - 1e-14 * controls.t_end:
-        dt = adaptive_dt(state.field, params, controls.cfl, controls.dt_max)
-        dt = min(dt, controls.t_end - state.t)
-        new_c = rk8_step(state.field.coeffs, dt, rhs,
-                         rhs.diss if lawson else None)
+        c = state.field.coeffs
+        dt = min(adaptive_dt(c, rhs, controls.cfl, controls.dt_max),
+                 controls.t_end - state.t)
+        new_c = rk8_step(c, dt, rhs, rhs.diss)
         if not np.all(np.isfinite(new_c)):
             return finish(TerminalStatus.COLLAPSE_DETECTED)
         trial = SpectralField(new_c, state.field.domain)
         peak = np.max(np.abs(trial.coeffs))
         tail = trial.tail_magnitude() if peak > 0 else 0.0
-        if not at_cap and peak > 0 and tail > controls.tail_tol * peak:
+        if not at_cap and peak > 0 and tail > TAIL_TOL * peak:
             if 2 * state.field.grid_size > controls.n_max:
                 at_cap = True  # ride out the cap within the trust band
             else:
@@ -431,7 +406,7 @@ def simulate(initial: SpectralField, params: GclmParams,
         state.t += dt
         state.step += 1
         if at_cap:
-            if peak > 0 and tail > controls.tail_trust * peak:
+            if peak > 0 and tail > TAIL_TRUST * peak:
                 return finish(TerminalStatus.RESOLUTION_CAP_HIT)
             try:
                 fit = tracker.fit_fourier_decay(state.field)

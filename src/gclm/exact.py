@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,12 @@ class Classification:
     alpha: float | None = None
     beta: float | None = None
 
+    @classmethod
+    def collapse(cls, t_c, x_c, alpha=1.0, beta=1.0) -> "Classification":
+        """A collapse at time t_c and point x_c; by default with the
+        exponents alpha = beta = 1 of simple poles reaching the axis."""
+        return cls(Kind.COLLAPSE, float(t_c), float(x_c), alpha, beta)
+
 
 def _continuous_sqrt(path: np.ndarray) -> np.ndarray:
     """Square root along a sampled path, principal branch at the start,
@@ -93,19 +100,18 @@ def _sqrt_at(radicand_of_t, t: float, nsteps: int = 64) -> complex:
     return complex(_continuous_sqrt(radicand_of_t(ts))[-1])
 
 
-def _first_zero(f, t_hint: float, t_cap: float = 1e6, f_vec=None):
+def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
     """First positive root of a scalar function, allowing tangential zeros.
 
     Returns (t, tangent) or None; ``tangent`` is True when f touches zero
-    without changing sign.  ``f_vec``, when given, evaluates f on a whole
-    t array at once (used for the scan; f itself serves the root polish).
+    without changing sign.  ``f_vec`` evaluates f on a whole t array at
+    once (the scan); f itself serves the root polish.
     """
     scale = max(abs(f(0.0)), 1e-12)
     t_hi = t_hint
     while t_hi <= t_cap:
         ts = np.linspace(0.0, t_hi, 8193)[1:]
-        vals = np.asarray(f_vec(ts)) if f_vec is not None \
-            else np.array([f(t) for t in ts])
+        vals = np.asarray(f_vec(ts))
         neg = np.nonzero(vals <= 0)[0]
         if neg.size:
             i = neg[0]
@@ -152,16 +158,14 @@ class PoleState:
 
     def field(self, grid_size: int) -> SpectralField:
         """Sample the state on the collocation grid (q-grid on the line)."""
-        if self.domain is Domain.LINE:
-            return SpectralField.from_function(
-                lambda q: self.evaluate(np.tan(q / 2.0)), grid_size,
-                Domain.LINE)
-        return SpectralField.from_function(self.evaluate, grid_size,
-                                           self.domain)
+        line = self.domain is Domain.LINE
+        return SpectralField.from_function(
+            lambda q: self.evaluate(np.tan(q / 2.0) if line else q),
+            grid_size, self.domain)
 
     def advance(self, t: float):
         """The state at absolute time t, which must precede any collapse."""
-        cl = self.classify()
+        cl = self._classification
         if cl.kind is Kind.COLLAPSE and t >= cl.t_c:
             raise PastCollapseError(f"t={t} >= t_c={cl.t_c}")
         return self._at(t)
@@ -169,9 +173,14 @@ class PoleState:
     def _at(self, t: float):
         return dataclasses.replace(self, t=t)
 
+    @functools.cached_property
+    def _classification(self) -> Classification:
+        """classify(), computed once per state (no family's reads t)."""
+        return self.classify()
+
     def _collapse(self, why: str) -> Classification:
         """The classification, which must be a collapse (else ``why``)."""
-        cl = self.classify()
+        cl = self._classification
         if cl.kind is not Kind.COLLAPSE:
             raise NotCollapsingError(why)
         return cl
@@ -242,8 +251,7 @@ class SchochetState(PoleState):
         tc = self.collapse_time()
         x1, x2 = self.positions(tc)
         x_c = x1.real if abs(x1.imag) <= abs(x2.imag) else x2.real
-        return Classification(Kind.COLLAPSE, t_c=tc, x_c=x_c, alpha=1.0,
-                              beta=2.0)
+        return Classification.collapse(tc, x_c, beta=2.0)
 
     def v_tilde(self) -> complex:
         return -5j * self.k_const * self.nu / (12.0 * (self.x1_0 + self.x2_0))
@@ -335,8 +343,8 @@ class DoublePoleState(PoleState):
             return Classification(Kind.STEADY)
         if ratio < 2.0 * self.nu:
             return Classification(Kind.GLOBAL)
-        return Classification(Kind.COLLAPSE, t_c=self.collapse_time(),
-                              x_c=self.x0, alpha=1.0 / 3.0, beta=1.0)
+        return Classification.collapse(self.collapse_time(), self.x0,
+                                       alpha=1.0 / 3.0)
 
     def implicit_invariant(self) -> float:
         """G(omega_m2 / (nu v_c)) at the state's time; affine in nu*t."""
@@ -404,8 +412,7 @@ class OnePairS1State(_OnePair):
             return Classification(Kind.GLOBAL)
         t_c = -self.v_c0.real / (om.real + nu)
         x_c = om.imag * self.v_c0.real / (om.real + nu) - self.v_c0.imag
-        return Classification(Kind.COLLAPSE, t_c=t_c, x_c=x_c, alpha=1.0,
-                              beta=1.0)
+        return Classification.collapse(t_c, x_c)
 
     def similarity_profile(self, xi):
         cl = self._collapse("Re omega_{-1}(0) >= -nu")
@@ -481,9 +488,8 @@ class TwoPairS1State(PoleState):
         hits = []
         for j in (1, 2):
             res = _first_zero(lambda t, j=j: self.pole_distances(t)[j - 1],
-                              t_hint=max(1.0, scale),
-                              f_vec=lambda ts, j=j: np.real(
-                                  self._path(ts)[j + 1]))
+                              lambda ts, j=j: np.real(self._path(ts)[j + 1]),
+                              t_hint=max(1.0, scale))
             if res is not None:
                 hits.append((res[0], j, res[1]))
         if not hits:
@@ -498,8 +504,7 @@ class TwoPairS1State(PoleState):
         _, _, v1, v2 = self.values_at(min(t_c, t_c * (1 - 1e-12)))
         v = v1 if j == 1 else v2
         ab = 2.0 if tangent else 1.0
-        return Classification(Kind.COLLAPSE, t_c=t_c, x_c=float(-v.imag),
-                              alpha=ab, beta=ab)
+        return Classification.collapse(t_c, -v.imag, alpha=ab, beta=ab)
 
     def similarity_profile(self, xi):
         cl = self._collapse("no pole pair reaches the axis")
@@ -561,11 +566,10 @@ class TwoPairDoublePoleLimitState(PoleState):
         if a > thresh:
             d = a - nu * vc
             t_c = (d - np.sqrt(d * d - (nu * vc) ** 2)) / nu**2
-            return Classification(Kind.COLLAPSE, t_c=float(t_c), x_c=0.0,
-                                  alpha=1.0, beta=1.0)
+            return Classification.collapse(t_c, 0.0)
         if a == thresh:
-            return Classification(Kind.COLLAPSE, t_c=a / (2.0 * nu**2),
-                                  x_c=0.0, alpha=2.0, beta=2.0)
+            return Classification.collapse(a / (2.0 * nu**2), 0.0,
+                                           alpha=2.0, beta=2.0)
         return Classification(Kind.GLOBAL)
 
 
@@ -601,8 +605,7 @@ class OnePairS0State(_OnePair):
                 return Classification(Kind.STEADY)
             t_c = -np.log(1.0 + nu * v0.real / om.real) / nu
         x_c = om.imag / om.real * v0.real - v0.imag
-        return Classification(Kind.COLLAPSE, t_c=float(t_c), x_c=float(x_c),
-                              alpha=1.0, beta=1.0)
+        return Classification.collapse(t_c, x_c)
 
     def similarity_profile(self, xi):
         cl = self._collapse("poles never reach the axis")
@@ -670,12 +673,10 @@ class PeriodicPoleState(_OnePair):
             # inviscid solution vanishes first
             den = 1.0 - om * t_c / (1.0 + v0)
             if abs(den) < 1e-8:
-                return Classification(Kind.COLLAPSE, t_c=float(t_c),
-                                      x_c=np.pi, alpha=1.0, beta=1.0)
+                return Classification.collapse(t_c, np.pi)
             vc = self.v_c(t_c)
             x_c = 2.0 * np.arctan(-vc.imag)
-            return Classification(Kind.COLLAPSE, t_c=float(t_c),
-                                  x_c=float(x_c), alpha=1.0, beta=1.0)
+            return Classification.collapse(t_c, x_c)
         if self._is_real_data():
             omr, vr = om.real, v0.real
             lo, hi = -nu * vr * (1.0 + vr), nu * (1.0 + vr)
@@ -685,17 +686,16 @@ class PeriodicPoleState(_OnePair):
                 return Classification(Kind.STEADY)
             if omr < lo:
                 t_c = np.log(omr / (omr + nu * vr * (1.0 + vr))) / nu
-                return Classification(Kind.COLLAPSE, t_c=float(t_c), x_c=0.0,
-                                      alpha=1.0, beta=1.0)
+                return Classification.collapse(t_c, 0.0)
             t_c = np.log(omr / (omr - nu * (1.0 + vr))) / nu
-            return Classification(Kind.COLLAPSE, t_c=float(t_c), x_c=np.pi,
-                                  alpha=1.0, beta=1.0)
+            return Classification.collapse(t_c, np.pi)
         # complex data with dissipation: locate the first axis crossing or
         # escape to v_c = infinity numerically
         w = self._w()
         hits = []
-        res = _first_zero(lambda t: self.v_c(t).real, t_hint=1.0,
-                          f_vec=lambda ts: np.real(self.v_c(np.asarray(ts))))
+        res = _first_zero(lambda t: self.v_c(t).real,
+                          lambda ts: np.real(self.v_c(np.asarray(ts))),
+                          t_hint=1.0)
         if res is not None:
             hits.append((res[0], "zero"))
         if w.imag == 0 and 0.0 < w.real < 1.0:
@@ -705,12 +705,9 @@ class PeriodicPoleState(_OnePair):
         hits.sort()
         t_c, how = hits[0]
         if how == "inf":
-            return Classification(Kind.COLLAPSE, t_c=float(t_c), x_c=np.pi,
-                                  alpha=1.0, beta=1.0)
+            return Classification.collapse(t_c, np.pi)
         vc = self.v_c(t_c)
-        return Classification(Kind.COLLAPSE, t_c=float(t_c),
-                              x_c=float(2.0 * np.arctan(-vc.imag)),
-                              alpha=1.0, beta=1.0)
+        return Classification.collapse(t_c, 2.0 * np.arctan(-vc.imag))
 
     def similarity_profile(self, xi):
         cl = self._collapse("no collapse for this data")

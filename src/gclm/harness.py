@@ -44,6 +44,9 @@ import gclm
 from gclm import collapse as collapse_mod
 from gclm import exact, tracker
 from gclm.dynamics import (
+    COLLAPSE_DELTA_FACTOR,
+    TAIL_TOL,
+    TAIL_TRUST,
     RunControls,
     TerminalStatus,
     TimeSeries,
@@ -53,6 +56,7 @@ from gclm.spectral import (
     Domain,
     GclmParams,
     SpectralField,
+    open_stream,
     read_snapshot,
     write_snapshot,
 )
@@ -131,6 +135,11 @@ def _parse_scalar(text: str):
         return s
 
 
+#: [controls] keys of older manifests whose knobs are now constants
+RETIRED_CONTROLS = {"tail_tol": TAIL_TOL, "tail_trust": TAIL_TRUST,
+                    "collapse_delta_factor": COLLAPSE_DELTA_FACTOR}
+
+
 def parse_config(source) -> RunConfig:
     """Parse a config file (path, file object, or literal text)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -163,6 +172,15 @@ def parse_config(source) -> RunConfig:
     if cvals.pop("sample_every", None) is not None:  # older configs
         warnings.warn("controls.sample_every is retired: samples follow a "
                       "time grid and max|w| growth", DeprecationWarning, 2)
+    retired = {k: cvals.pop(k) for k in RETIRED_CONTROLS if k in cvals}
+    for key, value in retired.items():
+        if value != RETIRED_CONTROLS[key]:  # a replay would change the run
+            raise ConfigError(f"controls.{key} is retired and fixed at "
+                              f"{RETIRED_CONTROLS[key]!r}; this config sets "
+                              f"{value!r}")
+    for key in retired:
+        warnings.warn(f"controls.{key} is retired: fixed at "
+                      f"{RETIRED_CONTROLS[key]!r}", DeprecationWarning, 2)
     try:
         controls = RunControls(**cvals)
     except (TypeError, ValueError) as e:
@@ -194,9 +212,7 @@ def parse_config(source) -> RunConfig:
 
 
 def write_config(config: RunConfig, fh) -> None:
-    own = isinstance(fh, (str, os.PathLike))
-    stream = open(fh, "w") if own else fh
-    try:
+    with open_stream(fh, "w") as stream:
         w = stream.write
         w("[run]\n")
         w(f"mode = {config.mode.value}\n")
@@ -219,9 +235,6 @@ def write_config(config: RunConfig, fh) -> None:
             w("\n[sweep]\n")
             for k, v in config.sweep.items():
                 w(f"{k} = {_fmt(v)}\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def config_text(config: RunConfig) -> str:

@@ -12,8 +12,10 @@ table, obtained with :func:`operators`.
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import functools
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +40,9 @@ EPS_JACOBIAN = 1e-10
 #: fraction of the spectrum counted as the "tail" band
 TAIL_BAND_FRACTION = 0.125
 
+#: the grid fields of the equation that :meth:`Operators.fields` returns
+FIELDS = ("w", "ux", "u", "wx")
+
 
 class Domain(enum.Enum):
     CIRCLE = "circle"
@@ -60,6 +65,7 @@ class Operators:
     def __init__(self, grid_size: int, domain: Domain):
         _check_grid_size(grid_size)
         m = 2 * grid_size
+        self.domain = domain
         self.k = np.arange(grid_size + 1)
         self.kabs = self.k.astype(float)
         self.ik = 1j * self.kabs
@@ -76,8 +82,8 @@ class Operators:
         self.velocity = np.divide(-1.0, self.kabs,
                                   out=np.zeros(grid_size + 1),
                                   where=self.k != 0)
-        #: symbol x phase rows of w, H w, u and w_x, for the stacked
-        #: inverse transform of :meth:`phys_stack`
+        #: symbol x phase rows of w, u_x = H w, u and w_x, for the stacked
+        #: inverse transform of :meth:`fields` on the circle
         self.stack = np.array([self.phase, self.hilbert * self.phase,
                                self.velocity * self.phase,
                                self.ik * self.phase])
@@ -85,16 +91,16 @@ class Operators:
         self.grid = -np.pi + 2.0 * np.pi * np.arange(m) / m
         #: top TAIL_BAND_FRACTION of wavenumbers
         self.tail = self.kabs >= (1.0 - TAIL_BAND_FRACTION) * grid_size
-        arrays = [self.k, self.kabs, self.ik, self.mult, self.phase,
-                  self.hilbert, self.velocity, self.stack, self.grid,
-                  self.tail]
-        if domain is Domain.LINE:
-            #: dx/dq = 1 / (1 + cos q); it vanishes at the node q = -pi
-            self.jac = 1.0 + np.cos(self.grid)
-            self.singular = self.jac < EPS_JACOBIAN
-            arrays += [self.jac, self.singular]
-        for a in arrays:
-            a.setflags(write=False)
+        #: dq/dx, which turns a grid derivative into an x one: 1 on the
+        #: circle, 1 + cos q on the line (x = tan(q/2)), where it vanishes
+        #: at the node q = -pi (the one node of ``singular``)
+        self.jac = (1.0 + np.cos(self.grid) if domain is Domain.LINE
+                    else np.ones(m))
+        self.singular = self.jac < EPS_JACOBIAN
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
+        self._rows = {}  # rows of stack per selection of fields()
 
     def phys(self, c: np.ndarray) -> np.ndarray:
         """Grid values of the real field with coefficients c (k = 0..N).
@@ -103,12 +109,6 @@ class Operators:
         grid values and are ignored.
         """
         return np.fft.irfft(c * self.phase, self.grid.size, norm="forward")
-
-    def phys_stack(self, c: np.ndarray, rows: int) -> np.ndarray:
-        """Grid values of the first ``rows`` of w, H w, u and w_x for the
-        coefficients c, from one 2-D inverse transform (one row each)."""
-        return np.fft.irfft(self.stack[:rows] * c, self.grid.size,
-                            norm="forward")
 
     def spec(self, v: np.ndarray) -> np.ndarray:
         """Coefficients k = 0..N of the grid values v."""
@@ -130,16 +130,41 @@ class Operators:
     def line_velocity(self, jac_uq: np.ndarray) -> np.ndarray:
         """Grid values of the line velocity from those of (1 + cos q) u_q.
 
-        The caller passes jac_uq = H^q w + C[w] = H^q w - H^q w(-pi) (see
-        :func:`c_omega_q`). The quotient is formed in physical space and
-        u is obtained by spectral integration with the constant fixed so
-        u(+-pi) = 0 (u vanishes at x = +-infinity, matching the exact
-        solutions).
+        The quotient is formed in physical space and u is obtained by
+        spectral integration with the constant fixed so u(+-pi) = 0 (u
+        vanishes at x = +-infinity, matching the exact solutions).
         """
         uq_hat = self.spec(self.over_jacobian(jac_uq))
         u = self.phys(np.divide(uq_hat, self.ik, out=np.zeros_like(uq_hat),
                                 where=self.k != 0))
         return u - u[0]  # grid node 0 is q = -pi
+
+    def fields(self, c: np.ndarray, names: tuple = FIELDS):
+        """Grid values of the fields named (from FIELDS: w, u_x = H w, u,
+        w_x) for the coefficients c, in order; only those are computed.
+
+        Circle: one stacked inverse transform. Line (x = tan(q/2)):
+        u_x = (1 + cos q) u_q = H^q w + C[w] with C[w] = -H^q w at node 0
+        (q = -pi, see :func:`c_omega_q`), u by :meth:`line_velocity`, and
+        w_x = (1 + cos q) w_q.
+        """
+        if self.domain is Domain.CIRCLE:
+            rows = self._rows.get(names)
+            if rows is None:  # once per selection: it is a per-stage cost
+                rows = self.stack[[FIELDS.index(name) for name in names]]
+                self._rows[names] = rows
+            return np.fft.irfft(rows * c, self.grid.size, norm="forward")
+        out = {}
+        if "w" in names:
+            out["w"] = self.phys(c)
+        if "ux" in names or "u" in names:
+            hw = self.phys(self.hilbert * c)
+            out["ux"] = hw - hw[0]
+            if "u" in names:
+                out["u"] = self.line_velocity(out["ux"])
+        if "wx" in names:
+            out["wx"] = self.jac * self.phys(self.ik * c)
+        return [out[name] for name in names]
 
 
 @functools.lru_cache(maxsize=32)
@@ -173,10 +198,6 @@ class SpectralField:
     def grid_size(self) -> int:
         """N; the field carries the modes k = -N..N-1 on 2N points."""
         return self.coeffs.size - 1
-
-    @property
-    def n_points(self) -> int:
-        return 2 * self.grid_size
 
     @property
     def ops(self) -> Operators:
@@ -246,9 +267,7 @@ class NormReport:
     l2: float
     linf: float
     b0: float
-    mean: float
     kinetic_energy: float
-    b0_tail: float = 0.0
     ek_truncated: bool = False  # line quadrature saw mass near q = +-pi
 
 
@@ -274,37 +293,46 @@ def c_omega_q(f: SpectralField) -> float:
 
 def velocity_line(f: SpectralField) -> SpectralField:
     """Velocity on the compactified line from (1+cos q) u_q = H^q w + C."""
-    ops = f.ops
-    hw = ops.phys(ops.hilbert * f.coeffs)
-    return SpectralField.from_grid(ops.line_velocity(hw - hw[0]), f.domain)
+    (u,) = f.ops.fields(f.coeffs, ("u",))
+    return SpectralField.from_grid(u, f.domain)
 
 
 def norms(f: SpectralField) -> NormReport:
-    """L2, Linf, Wiener (B0) norm, mean and kinetic energy of the field."""
+    """L2, Linf, Wiener (B0) norm and kinetic energy of the field."""
     ops = f.ops
     c = f.coeffs
     absc = np.abs(c)
     b0 = float(np.sum(ops.mult * absc))
     vals = ops.phys(c)
     linf = float(np.max(np.abs(vals)))
-    mean = float(c[0].real)
     ek_truncated = False
     if f.domain is Domain.CIRCLE:
         l2 = float(np.sqrt(2.0 * np.pi * np.sum(ops.mult * absc**2)))
         ek = float(np.pi * np.sum(ops.mult * np.abs(ops.velocity * c) ** 2))
     else:
         # physical (x-space) quadratures: dx = dq / (1 + cos q)
-        dq = 2.0 * np.pi / f.n_points
+        dq = np.pi / f.grid_size
         l2 = float(np.sqrt(np.sum(ops.over_jacobian(vals**2)) * dq))
-        hw = ops.phys(ops.hilbert * c)
-        integrand = ops.over_jacobian(ops.line_velocity(hw - hw[0]) ** 2)
+        (u,) = ops.fields(c, ("u",))
+        integrand = ops.over_jacobian(u**2)
         ek = 0.5 * float(np.sum(integrand) * dq)
         # quadrature is untrusted when the integrand has not decayed at the
         # nodes next to q = +-pi
         if np.max(integrand[[1, -1]]) > 1e-8 * max(np.max(integrand), 1e-300):
             ek_truncated = True
-    return NormReport(l2=l2, linf=linf, b0=b0, mean=mean, kinetic_energy=ek,
-                      b0_tail=f.tail_magnitude(), ek_truncated=ek_truncated)
+    return NormReport(l2=l2, linf=linf, b0=b0, kinetic_energy=ek,
+                      ek_truncated=ek_truncated)
+
+
+@contextlib.contextmanager
+def open_stream(fh, mode: str = "r"):
+    """The stream fh itself, or the file at path fh opened in mode (and
+    closed on exit)."""
+    if isinstance(fh, (str, bytes, os.PathLike)):
+        with open(fh, mode) as stream:
+            yield stream
+    else:
+        yield fh
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +342,7 @@ def norms(f: SpectralField) -> NormReport:
 # on read.
 
 def write_snapshot(f: SpectralField, t: float, fh) -> None:
-    own = isinstance(fh, (str, bytes))
-    stream = open(fh, "w") if own else fh
-    try:
+    with open_stream(fh, "w") as stream:
         n = f.grid_size
         t = repr(float(t))  # a numpy scalar's repr is 'np.float64(...)'
         stream.write(f"# gclm-field v1 domain={f.domain.value} t={t}\n")
@@ -327,18 +353,13 @@ def write_snapshot(f: SpectralField, t: float, fh) -> None:
         ordered = np.concatenate([c[n:], np.conj(c[n - 1:0:-1]), c[:n]])
         for z in ordered:
             stream.write(f"{float(z.real)!r} {float(z.imag)!r}\n")
-    finally:
-        if own:
-            stream.close()
 
 
 def read_snapshot(fh) -> tuple[SpectralField, float]:
     """Read a v1 snapshot; raises ValueError unless the header names a
     known domain and the coefficients are those of a real field (to 1e-12
     of the largest)."""
-    own = isinstance(fh, (str, bytes))
-    stream = open(fh, "r") if own else fh
-    try:
+    with open_stream(fh) as stream:
         header = stream.readline().strip()
         if not header.startswith("# gclm-field v1"):
             raise ValueError(f"not a gclm-field snapshot: {header!r}")
@@ -352,9 +373,6 @@ def read_snapshot(fh) -> tuple[SpectralField, float]:
         for i in range(2 * n):
             re, im = stream.readline().split()
             full[i] = float(re) + 1j * float(im)
-    finally:
-        if own:
-            stream.close()
     tol = 1e-12 * np.max(np.abs(full))
     if np.max(np.abs(full[1:n] - np.conj(full[:n:-1]))) > tol:
         raise ValueError("snapshot coefficients k < 0 are not the conjugates "

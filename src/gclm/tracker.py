@@ -27,7 +27,7 @@ __all__ = [
     "aaa_approximate",
 ]
 
-#: coefficients below floor_tol * max |w_k| are treated as round-off noise
+#: coefficients below FLOOR_TOL * max |w_k| are treated as round-off noise
 FLOOR_TOL = 1e-13
 
 #: least-squares fits need at least this many usable modes
@@ -35,6 +35,9 @@ MIN_WINDOW_MODES = 16
 
 #: relative error, to max |f|, that an AAA fit must reach to count as converged
 AAA_TOL = 1e-12
+
+#: Froissart doublets with residue below this times max |f| are stripped
+AAA_CLEAN_UP_TOL = 1e-13
 
 
 class SpectrumTooCleanError(ValueError):
@@ -59,7 +62,6 @@ class DecayFit:
 
 
 def fit_fourier_decay(field: SpectralField,
-                      floor_tol: float = FLOOR_TOL,
                       window: tuple[float, float] = (0.25, 1.0 / 3.0)
                       ) -> DecayFit:
     """Least-squares fit of the high-k envelope of the spectrum.
@@ -67,7 +69,7 @@ def fit_fourier_decay(field: SpectralField,
     Uses modes k in [window[0]*N, window[1]*N] (default [N/4, N/3], the
     best balance between round-off and asymptotic decay); raises
     SpectrumTooCleanError when fewer than 16 of them sit above the
-    round-off floor.
+    round-off floor FLOOR_TOL * max |w_k|.
     """
     n = field.grid_size
     k_lo = max(1, int(window[0] * n))
@@ -76,7 +78,7 @@ def fit_fourier_decay(field: SpectralField,
     k = np.arange(k_lo, k_hi + 1)
     mags = np.abs(coeffs[k])
     peak = np.max(np.abs(coeffs))
-    keep = mags > floor_tol * peak
+    keep = mags > FLOOR_TOL * peak
     if np.count_nonzero(keep) < MIN_WINDOW_MODES:
         raise SpectrumTooCleanError(
             f"only {np.count_nonzero(keep)} modes above the noise floor in "
@@ -133,18 +135,18 @@ class RationalApprox:
 
 
 def aaa_approximate(points: np.ndarray, values: np.ndarray,
-                    tol: float = AAA_TOL, max_degree: int = 100,
-                    clean_up_tol: float = 1e-13) -> RationalApprox:
+                    tol: float = AAA_TOL,
+                    max_degree: int = 100) -> RationalApprox:
     """AAA rational fit of sampled values with spurious poles removed.
 
     Froissart doublets (pole/zero pairs with residue below
-    clean_up_tol * max|f|) are stripped; ``non_converged`` is set when the
+    AAA_CLEAN_UP_TOL * max|f|) are stripped; ``non_converged`` is set when the
     requested tolerance was not reached within ``max_degree`` support points.
     """
     points = np.asarray(points)
     values = np.asarray(values)
     approx = AAA(points, values, rtol=tol, max_terms=max_degree,
-                 clean_up=True, clean_up_tol=clean_up_tol)
+                 clean_up=True, clean_up_tol=AAA_CLEAN_UP_TOL)
     err = float(np.max(np.abs(approx(points) - values)))
     scale = float(np.max(np.abs(values)))
     return RationalApprox(

@@ -249,6 +249,25 @@ class TestTwoPairS1:
         assert v1 == pytest.approx(st.v_c1_0, abs=1e-10)
         assert v2 == pytest.approx(st.v_c2_0, abs=1e-10)
 
+    def test_advance_classifies_once_per_state(self, monkeypatch):
+        # criterion 08's series advances one state to 90 times
+        calls = []
+        classify = TwoPairS1State.classify
+
+        def counted(self):
+            calls.append(self)
+            return classify(self)
+
+        monkeypatch.setattr(TwoPairS1State, "classify", counted)
+        st = TwoPairS1State(omega_m1_1_0=-2.0, omega_m1_2_0=2.0,
+                            v_c1_0=0.1, v_c2_0=0.9, nu=1.0)
+        for t in (0.05, 0.1, 0.2, 0.25, 0.29):
+            st.advance(t)
+        assert len(calls) == 1
+        with pytest.raises(PastCollapseError):
+            st.advance(0.31)
+        assert len(calls) == 1
+
     def test_degenerate_tangency(self):
         # om1 = -2: v_c1(t) = t - 0.4 sqrt(1+10t) + 0.5 has a double root
         # at t = 0.3 ((t - 0.3)^2 = 0 after squaring)

@@ -60,6 +60,39 @@ n_max = 4096
 sample_dt = 0.01
 """
 
+#: SIM_CFG as written into manifest.txt before the refinement and collapse
+#: thresholds became constants
+SIM_MANIFEST_CFG = """\
+[run]
+mode = simulate
+domain = circle
+output_dir = simrun
+
+[params]
+a = 0.0
+sigma = 0.0
+nu = 1.0
+omega_av = 0.0
+
+[controls]
+t_end = 1.2
+cfl = 0.5
+n0 = 64
+n_max = 4096
+tail_tol = 1e-12
+tail_trust = 0.001
+collapse_delta_factor = 5.0
+dt_max = inf
+sample_dt = 0.01
+
+[initial]
+kind = pole_family
+family = periodic_s0
+omega_m1_0 = -3.0,0.0
+v_c0 = 1.0,0.0
+nu = 1.0
+"""
+
 EXACT_CFG = """\
 [run]
 mode = exact_only
@@ -158,6 +191,27 @@ class TestConfigParsing:
             config = parse_config(text)
         assert config.controls == parse_config(SIM_CFG).controls
         assert "sample_every" not in config_text(config)
+
+    def test_retired_thresholds_are_dropped_at_their_fixed_values(self):
+        # SIM_CFG as manifests wrote it while tail_tol, tail_trust and
+        # collapse_delta_factor were RunControls fields
+        with pytest.warns(DeprecationWarning) as caught:
+            config = parse_config(SIM_MANIFEST_CFG)
+        assert sorted(str(w.message).split()[0] for w in caught) == [
+            "controls.collapse_delta_factor", "controls.tail_tol",
+            "controls.tail_trust"]
+        assert config.controls == parse_config(SIM_CFG).controls
+        assert config_text(config) == config_text(parse_config(SIM_CFG))
+
+    @pytest.mark.parametrize("key, lines", [
+        ("tail_tol", "tail_tol = 1e-10"), ("tail_trust", "tail_trust = 0.01"),
+        ("collapse_delta_factor", "collapse_delta_factor = 4.0"),
+        # a key at its fixed value does not mask a later one that is not
+        ("tail_trust", "tail_tol = 1e-12\ntail_trust = 0.01")])
+    def test_retired_threshold_at_another_value_is_rejected(self, key,
+                                                            lines):
+        with pytest.raises(ConfigError, match=f"controls.{key} is retired"):
+            parse_config(SIM_CFG + lines + "\n")
 
     def test_write_config_to_path(self, tmp_path):
         config = parse_config(ORACLE_CFG)
@@ -273,8 +327,7 @@ class TestRunModes:
                 lower=1.5, upper=1.5 + tol, n_probes=4,
                 probes=[collapse_mod.ProbeRecord(
                     amplitude=1.5, blew_up=False,
-                    status=TerminalStatus.REACHED_T_END, growth=0.5)],
-                a_param=params.a, sigma=params.sigma, nu=params.nu)
+                    status=TerminalStatus.REACHED_T_END, growth=0.5)])
 
         monkeypatch.setattr(collapse_mod, "critical_amplitude", fake_critical)
         text = (SIM_CFG.replace("mode = simulate", "mode = critical_sweep")

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclm.spectral import (
+    FIELDS,
     Domain,
     GclmParams,
     SpectralField,
@@ -156,8 +157,47 @@ class TestOperatorTable:
         c = random_real_field(20, 2 * n, decay=0.01).coeffs
         one_each = [ops.phys(c), ops.phys(ops.hilbert * c),
                     ops.phys(ops.velocity * c), ops.phys(ops.ik * c)]
-        assert np.array_equal(ops.phys_stack(c, 4), one_each)
-        assert np.array_equal(ops.phys_stack(c, 2), one_each[:2])
+        assert np.array_equal(ops.fields(c), one_each)
+        assert np.array_equal(ops.fields(c, ("w", "ux")), one_each[:2])
+
+
+class TestFields:
+    def test_circle_fields_match_the_symbol_operators(self):
+        f = random_real_field(22)
+        w, ux, u, wx = f.ops.fields(f.coeffs)
+        assert np.array_equal(w, f.values())
+        assert np.allclose(ux, hilbert(f).values(), rtol=0, atol=1e-14)
+        assert np.allclose(u, velocity_from_omega(f).values(), rtol=0,
+                           atol=1e-14)
+        assert np.allclose(wx, derivative(f).values(), rtol=0, atol=1e-14)
+
+    def test_line_fields_match_velocity_line_and_c_omega_q(self):
+        # double-pole data: u_x = H^q w + C[w], u from velocity_line, and
+        # w_x = (1 + cos q) w_q against the closed form of dw/dx
+        from gclm.exact import DoublePoleState
+
+        st = DoublePoleState()
+        f = st.field(256)
+        w, ux, u, wx = f.ops.fields(f.coeffs)
+        assert np.array_equal(w, f.values())
+        assert np.allclose(ux, hilbert(f).values() + c_omega_q(f), rtol=0,
+                           atol=1e-13)
+        assert np.allclose(u, velocity_line(f).values(), rtol=0, atol=1e-13)
+        x = np.tan(f.grid() / 2.0)
+        z = x - 1j * st.v_c
+        wx_exact = np.real(1j * st.omega_m2 * (-2.0 / z**3
+                                               + 2.0 / np.conj(z)**3))
+        assert np.max(np.abs(wx - wx_exact)) < 1e-10
+
+    @pytest.mark.parametrize("domain", list(Domain))
+    def test_only_the_named_fields_in_the_named_order(self, domain):
+        f = random_real_field(23, domain=domain)
+        full = dict(zip(FIELDS, f.ops.fields(f.coeffs)))
+        for names in [("u",), ("ux", "u"), ("wx", "w"), ("ux",)]:
+            got = f.ops.fields(f.coeffs, names)
+            assert len(got) == len(names)
+            for name, vals in zip(names, got):
+                assert np.array_equal(vals, full[name]), name
 
 
 class TestOperators:
