@@ -20,6 +20,7 @@ from gclm.spectral import (
     Domain,
     GclmParams,
     SpectralField,
+    check_grid_size,
     norms,
     open_stream,
     operators,
@@ -238,8 +239,9 @@ class RunControls:
     sample_dt: float | None = None  # None: t_end / SAMPLE_GRID
 
     def __post_init__(self):
-        if self.t_end <= 0 or not 0 < self.cfl <= 1:
-            raise ValueError("t_end must be positive and cfl in (0, 1]")
+        if self.t_end <= 0 or not self.dt_max > 0 or not 0 < self.cfl <= 1:
+            raise ValueError("t_end and dt_max must be > 0 and cfl in (0, 1]")
+        check_grid_size(self.n0, "n0")
         if self.n_max < self.n0:
             raise ValueError("n_max must be >= n0")
         if self.sample_dt is not None and not self.sample_dt > 0:
@@ -252,6 +254,7 @@ class SimState:
     t: float
     step: int = 0
     n_refinements: int = 0
+    stop_reason: str = ""  # one line from the stop rule that ended the run
 
 
 CSV_COLUMNS = ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "linf", "b0",
@@ -303,56 +306,78 @@ class TimeSeries:
             if tuple(names) != CSV_COLUMNS:
                 raise ValueError(f"unexpected CSV columns {names}")
             rows = [line.split(",") for line in stream if line.strip()]
-        data = np.array(rows, dtype=float) if rows else np.empty((0, 9))
+        data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
         out = cls(terminal_status=status)
-        for i, name in enumerate(CSV_COLUMNS):
-            col = data[:, i] if rows else np.empty(0)
+        for name, col in zip(CSV_COLUMNS, data.T):
             setattr(out, name, col.astype(int) if name == "n_modes" else col)
         return out
 
 
-def _sample_row(field: SpectralField, t: float) -> dict:
-    rep = norms(field)
+def _decay_fit(field: SpectralField) -> tracker.DecayFit | None:
     try:
-        fit = tracker.fit_fourier_decay(field)
-        vals = field.values()
-        q_peak = field.grid()[np.argmax(np.abs(vals))]
+        return tracker.fit_fourier_decay(field)
+    except tracker.SpectrumTooCleanError:
+        return None
+
+
+def _sample_row(field: SpectralField, t: float,
+                fit: tracker.DecayFit | None) -> dict:
+    rep = norms(field)
+    delta_x = p_fit = np.nan
+    if fit is not None:
+        q_peak = field.grid()[np.argmax(np.abs(field.values()))]
         at_boundary = (field.domain is Domain.LINE
                        and abs(q_peak) > np.pi / 2.0)
         delta_x = tracker.delta_to_x(fit.delta, field.domain, at_boundary)
         p_fit = fit.p
-        delta_q = fit.delta
-    except tracker.SpectrumTooCleanError:
-        delta_x = p_fit = delta_q = np.nan
     return {
         "t": t, "max_abs_omega": rep.linf, "delta_x": delta_x,
         "p_fit": p_fit, "l2": rep.l2, "linf": rep.linf, "b0": rep.b0,
         "energy": rep.kinetic_energy, "n_modes": field.grid_size,
-        "_delta_q": delta_q,
     }
+
+
+def _stop(state: SimState, t_end: float, finite: bool, cap_tail: float,
+          fit: tracker.DecayFit | None) -> tuple[TerminalStatus, str] | None:
+    """The first of :func:`simulate`'s stop rules that holds, as (status,
+    reason), or None. In order: 1. the trial step went non-finite
+    (CollapseDetected); 2. ``cap_tail``, tail/peak at n_max, exceeds
+    TAIL_TRUST (ResolutionCapHit); 3. ``fit``, made on sampled and capped
+    fields, puts the singularity within COLLAPSE_DELTA_FACTOR grid
+    spacings (CollapseDetected); 4. t reached t_end (ReachedTEnd).
+    """
+    n, t = state.field.grid_size, state.t
+    floor = COLLAPSE_DELTA_FACTOR * np.pi / n
+    if not finite:
+        return (TerminalStatus.COLLAPSE_DETECTED, "non-finite coefficients "
+                f"in the step from t = {t:.6g} at N = {n}")
+    if cap_tail > TAIL_TRUST:
+        return (TerminalStatus.RESOLUTION_CAP_HIT, f"tail/peak = "
+                f"{cap_tail:.2g} > {TAIL_TRUST:g} at N = {n}, t = {t:.6g}")
+    if fit is not None and fit.delta < floor:
+        return (TerminalStatus.COLLAPSE_DETECTED, f"delta = {fit.delta:.3g} "
+                f"< {COLLAPSE_DELTA_FACTOR:g} grid spacings ({floor:.3g}) "
+                f"at N = {n}, t = {t:.6g}")
+    if t >= t_end - 1e-14 * t_end:
+        return (TerminalStatus.REACHED_T_END,
+                f"reached t_end = {t_end:.6g} at N = {n}")
 
 
 def simulate(initial: SpectralField, params: GclmParams,
              controls: RunControls) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
-    Steps are Cooper-Verner RK8 (:func:`rk8_step`) given ``Rhs.diss``:
-    Lawson steps on the diagonal dissipation nu |k|^sigma where it is set
-    (the circle with nu != 0), explicit ones elsewhere; :func:`adaptive_dt`
-    sizes them from the same record.
-
-    A step whose result pushes the top of the spectrum above
-    TAIL_TOL * max|w_k| is rewound and retried at doubled resolution.
-    Once refinement would exceed n_max, integration continues at n_max as
-    long as the tail stays below the (looser) TAIL_TRUST threshold, so an
-    imminent collapse can still be recognised.  Termination: ReachedTEnd;
-    CollapseDetected when the fitted singularity distance falls below
-    COLLAPSE_DELTA_FACTOR grid spacings or a stage goes non-finite;
-    ResolutionCapHit when the capped tail degrades past TAIL_TRUST first.
-    Samples (each tested for collapse): t = 0; each accepted step that
-    passes a point k * sample_dt of the time grid or takes max|w| past
-    SAMPLE_GROWTH times its last sample (evenly in log(t_c - t) near a
-    collapse); the final state. No step is shortened to land on the grid.
+    Steps are Cooper-Verner RK8 (:func:`rk8_step`), Lawson where
+    ``Rhs.diss`` is set (the circle with nu != 0), explicit elsewhere, and
+    sized by :func:`adaptive_dt`. A step that pushes the top of the
+    spectrum above TAIL_TOL * max|w_k| is retried at doubled resolution;
+    past n_max the run goes on at n_max while the tail stays within
+    TAIL_TRUST. :func:`_stop`'s rules, checked at t = 0 and after every
+    step, set ``terminal_status`` and ``SimState.stop_reason``. Samples:
+    t = 0; each step that passes a point k * sample_dt of the time grid or
+    takes max|w| past SAMPLE_GROWTH times its last sample (evenly in
+    log(t_c - t) near a collapse), never shortened to land on the grid;
+    the final state. Each sampled or capped field is fitted once.
     """
     params.validate(initial.domain)
     field = initial.copy()
@@ -362,60 +387,39 @@ def simulate(initial: SpectralField, params: GclmParams,
     state = SimState(field=field, t=0.0)
     sample_dt = controls.sample_dt or controls.t_end / SAMPLE_GRID
     rhs = Rhs(field.domain, params, field.grid_size)
-    at_cap = False
-
-    def record() -> bool:
-        """Sample the state; True when its collapse is resolved."""
-        row = _sample_row(state.field, state.t)
-        dq = row.pop("_delta_q")
-        series.append(**row)
-        return collapse_resolved(dq)
-
-    def finish(status):
-        if state.t > series.t[-1]:
-            record()
-        series.terminal_status = status
-        return series, state
-
-    def collapse_resolved(dq: float) -> bool:  # a NaN (no fit) is False
-        n = state.field.grid_size
-        return dq < COLLAPSE_DELTA_FACTOR * np.pi / n
-
-    if record():
-        return finish(TerminalStatus.COLLAPSE_DETECTED)
-    while state.t < controls.t_end - 1e-14 * controls.t_end:
-        c = state.field.coeffs
-        dt = min(adaptive_dt(c, rhs, controls.cfl, controls.dt_max),
-                 controls.t_end - state.t)
-        new_c = rk8_step(c, dt, rhs, rhs.diss)
-        if not np.all(np.isfinite(new_c)):
-            return finish(TerminalStatus.COLLAPSE_DETECTED)
-        trial = SpectralField(new_c, state.field.domain)
-        peak = np.max(np.abs(trial.coeffs))
-        tail = trial.tail_magnitude() if peak > 0 else 0.0
-        if not at_cap and peak > 0 and tail > TAIL_TOL * peak:
-            if 2 * state.field.grid_size > controls.n_max:
-                at_cap = True  # ride out the cap within the trust band
-            else:
-                # rewind: drop the trial step, double resolution, retry
-                state.field = state.field.zero_pad()
-                state.n_refinements += 1
-                rhs = Rhs(state.field.domain, params, state.field.grid_size)
-                continue
-        state.field = trial
-        state.t += dt
-        state.step += 1
-        if at_cap:
-            if peak > 0 and tail > TAIL_TRUST * peak:
-                return finish(TerminalStatus.RESOLUTION_CAP_HIT)
-            try:
-                fit = tracker.fit_fourier_decay(state.field)
-                if collapse_resolved(fit.delta):
-                    return finish(TerminalStatus.COLLAPSE_DETECTED)
-            except tracker.SpectrumTooCleanError:
-                pass
-        if (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
-                or np.max(np.abs(state.field.values()))
-                > SAMPLE_GROWTH * series.max_abs_omega[-1]) and record():
-            return finish(TerminalStatus.COLLAPSE_DETECTED)
-    return finish(TerminalStatus.REACHED_T_END)
+    at_cap, cap_tail, fit = False, 0.0, _decay_fit(field)
+    series.append(**_sample_row(field, 0.0, fit))
+    stop = _stop(state, controls.t_end, True, cap_tail, fit)
+    while stop is None:
+        dt = min(adaptive_dt(state.field.coeffs, rhs, controls.cfl,
+                             controls.dt_max), controls.t_end - state.t)
+        new_c = rk8_step(state.field.coeffs, dt, rhs, rhs.diss)
+        finite = np.all(np.isfinite(new_c))
+        if finite:
+            trial = SpectralField(new_c, state.field.domain)
+            peak = np.max(np.abs(new_c))
+            rel_tail = trial.tail_magnitude() / peak if peak > 0 else 0.0
+            if not at_cap and rel_tail > TAIL_TOL:
+                if 2 * state.field.grid_size > controls.n_max:
+                    at_cap = True  # ride out the cap within the trust band
+                else:
+                    # rewind: drop the trial step, double resolution, retry
+                    state.field = state.field.zero_pad()
+                    state.n_refinements += 1
+                    rhs = Rhs(rhs.ops.domain, params, state.field.grid_size)
+                    continue
+            state.field, state.t = trial, state.t + dt
+            state.step += 1
+            cap_tail = rel_tail if at_cap else 0.0
+            due = (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
+                   or np.max(np.abs(trial.values()))
+                   > SAMPLE_GROWTH * series.max_abs_omega[-1])
+            fit = _decay_fit(trial) if due or at_cap else None
+            if due:
+                series.append(**_sample_row(trial, state.t, fit))
+        stop = _stop(state, controls.t_end, finite, cap_tail, fit)
+    if state.t > series.t[-1]:  # fitted already if capped
+        series.append(**_sample_row(
+            state.field, state.t, fit if at_cap else _decay_fit(state.field)))
+    series.terminal_status, state.stop_reason = stop
+    return series, state

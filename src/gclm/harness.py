@@ -258,13 +258,23 @@ def _family_state(config: RunConfig):
     return state
 
 
+def _resolved_field(state, controls: RunControls) -> SpectralField:
+    """A closed-form state sampled at the smallest power-of-two multiple
+    of n0, up to n_max, whose spectral tail is within TAIL_TOL of its peak."""
+    field = state.field(controls.n0)
+    while (2 * field.grid_size <= controls.n_max and field.tail_magnitude()
+           > TAIL_TOL * np.max(np.abs(field.coeffs))):
+        field = state.field(2 * field.grid_size)
+    return field
+
+
 def _initial_field(config: RunConfig) -> SpectralField:
     kind = config.initial.get("kind", "two_mode")
     if kind == "two_mode":
         return two_mode_field(float(config.initial["amplitude"]),
                               config.controls.n0, config.domain)
     if kind == "pole_family":
-        return _family_state(config).field(config.controls.n0)
+        return _resolved_field(_family_state(config), config.controls)
     field, _ = read_snapshot(str(config.initial["path"]))
     if field.domain is not config.domain:
         raise ConfigError("snapshot domain disagrees with config")
@@ -303,7 +313,7 @@ def output_root(config: RunConfig) -> Path:
 
 
 def _write_manifest(path: Path, config: RunConfig, wall: float,
-                    status: str) -> None:
+                    status: str, stop_reason: str | None) -> None:
     with open(path, "w") as fh:
         fh.write("# gclm manifest v1\n")
         fh.write(f"gclm_version = {gclm.__version__}\n")
@@ -312,6 +322,8 @@ def _write_manifest(path: Path, config: RunConfig, wall: float,
         fh.write(f"python_version = {sys.version.split()[0]}\n")
         fh.write(f"wall_time_seconds = {wall!r}\n")
         fh.write(f"status = {status}\n")
+        if stop_reason is not None:
+            fh.write(f"stop_reason = {stop_reason}\n")
         fh.write("## begin config\n")
         fh.write(config_text(config))
         fh.write("## end config\n")
@@ -353,7 +365,7 @@ def run(config: RunConfig) -> dict:
         artifacts[name] = str(out / fname)
         return out / fname
 
-    status = "ok"
+    status, stop_reason = "ok", None
     if config.mode is Mode.EXACT_ONLY:
         state = _family_state(config)
         cl = state.classify()
@@ -361,7 +373,7 @@ def run(config: RunConfig) -> dict:
             "family": config.initial["family"],
             "classification": dataclasses.asdict(cl),
         })
-        write_snapshot(state.field(config.controls.n0), 0.0,
+        write_snapshot(_resolved_field(state, config.controls), 0.0,
                        str(emit("snapshot_initial", "snapshot_initial.txt")))
         status = cl.kind.value
     elif config.mode is Mode.SIMULATE:
@@ -372,8 +384,9 @@ def run(config: RunConfig) -> dict:
         series.to_csv(str(emit("series", "series.csv")))
         write_snapshot(final.field, final.t,
                        str(emit("snapshot_final", "snapshot_final.txt")))
+        stop_reason = final.stop_reason
         fit_payload = {"terminal_status": series.terminal_status.value,
-                       "t_final": final.t,
+                       "stop_reason": stop_reason, "t_final": final.t,
                        "n_final": final.field.grid_size}
         try:
             cfit = collapse_mod.fit_collapse(series)
@@ -401,8 +414,7 @@ def run(config: RunConfig) -> dict:
                 raise ConfigError(
                     f"params.{name} = {got!r}, but family "
                     f"{config.initial['family']} solves {name} = {want!r}")
-        n0 = config.controls.n0
-        field = state.field(n0)
+        field = _resolved_field(state, config.controls)
         write_snapshot(field, 0.0,
                        str(emit("snapshot_initial", "snapshot_initial.txt")))
         n_seg = 20
@@ -455,7 +467,7 @@ def run(config: RunConfig) -> dict:
         })
         status = f"bracket=({result.lower!r},{result.upper!r})"
     _write_manifest(emit("manifest", "manifest.txt"), config,
-                    time.time() - t_start, status)
+                    time.time() - t_start, status, stop_reason)
     return artifacts
 
 

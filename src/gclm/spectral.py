@@ -49,9 +49,9 @@ class Domain(enum.Enum):
     LINE = "line"
 
 
-def _check_grid_size(n: int) -> None:
+def check_grid_size(n: int, name: str = "grid_size") -> None:
     if n < 8 or (n & (n - 1)) != 0:
-        raise ValueError(f"grid_size must be a power of two >= 8, got {n}")
+        raise ValueError(f"{name} must be a power of two >= 8, got {n}")
 
 
 class Operators:
@@ -63,7 +63,7 @@ class Operators:
     """
 
     def __init__(self, grid_size: int, domain: Domain):
-        _check_grid_size(grid_size)
+        check_grid_size(grid_size)
         m = 2 * grid_size
         self.domain = domain
         self.k = np.arange(grid_size + 1)
@@ -192,7 +192,7 @@ class SpectralField:
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.ndim != 1:
             raise ValueError("coeffs must be a 1d array of N+1 coefficients")
-        _check_grid_size(self.coeffs.size - 1)
+        check_grid_size(self.coeffs.size - 1)
 
     @property
     def grid_size(self) -> int:
@@ -368,7 +368,7 @@ def read_snapshot(fh) -> tuple[SpectralField, float]:
         domain = Domain(tokens.get("domain"))  # ValueError unless known
         t = float(stream.readline())
         n = int(stream.readline())
-        _check_grid_size(n)
+        check_grid_size(n)
         full = np.zeros(2 * n, dtype=complex)  # k = -N..N-1
         for i in range(2 * n):
             re, im = stream.readline().split()

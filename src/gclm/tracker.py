@@ -116,8 +116,6 @@ class RationalApprox:
     """Barycentric rational approximation with its pole/residue pairs."""
 
     support_points: np.ndarray
-    support_values: np.ndarray
-    weights: np.ndarray
     poles: np.ndarray
     residues: np.ndarray
     max_error: float
@@ -151,8 +149,6 @@ def aaa_approximate(points: np.ndarray, values: np.ndarray,
     scale = float(np.max(np.abs(values)))
     return RationalApprox(
         support_points=np.asarray(approx.support_points),
-        support_values=np.asarray(approx.support_values),
-        weights=np.asarray(approx.weights),
         poles=np.asarray(approx.poles()),
         residues=np.asarray(approx.residues()),
         max_error=err,

@@ -13,7 +13,7 @@ from gclm.collapse import (
     critical_amplitude,
     fit_collapse,
 )
-from gclm.dynamics import RunControls, TerminalStatus, TimeSeries
+from gclm.dynamics import RunControls, SimState, TerminalStatus, TimeSeries
 from gclm.spectral import GclmParams
 
 
@@ -134,8 +134,10 @@ class TestCriticalAmplitude:
         def fake_simulate(initial, params, controls):
             a = calls.pop()
             if a >= threshold:
-                return power_law_series(), None
-            return flat_series(amp=a, decreasing=True), None
+                return power_law_series(), SimState(None, 1.0,
+                                                    stop_reason="up")
+            return (flat_series(amp=a, decreasing=True),
+                    SimState(None, 10.0, stop_reason="down"))
 
         monkeypatch.setattr(collapse_mod, "simulate", fake_simulate)
         return calls
@@ -152,8 +154,11 @@ class TestCriticalAmplitude:
                                     GclmParams(a=0.0, sigma=1.0, nu=1.0),
                                     bracket=(1.0, 3.0), tol=0.01,
                                     controls=RunControls())
-        assert result.a_no_blowup < 2.0 <= result.a_blowup
-        assert result.a_blowup - result.a_no_blowup <= 0.01
+        assert result.lower < 2.0 <= result.upper
+        assert result.upper - result.lower <= 0.01
+        # each probe keeps the stop reason of its run
+        assert all(p.reason == ("up" if p.blew_up else "down")
+                   for p in result.probes)
 
     def test_probe_count_is_logarithmic(self, monkeypatch):
         calls = self.patch_probe(monkeypatch, 2.0)
@@ -179,7 +184,7 @@ class TestCriticalAmplitude:
                                     controls=RunControls(),
                                     validate_bracket=False)
         assert all(1.0 < p.amplitude < 3.0 for p in result.probes)
-        assert result.a_blowup - result.a_no_blowup <= 0.5
+        assert result.upper - result.lower <= 0.5
 
     def test_invalid_bracket_order_raises(self):
         with pytest.raises(ValueError):

@@ -10,7 +10,7 @@ import io
 import numpy as np
 import pytest
 
-from gclm import dynamics, exact
+from gclm import dynamics, exact, tracker
 from gclm.collapse import _fit_window
 from gclm.dynamics import (
     _STAB_IMAG,
@@ -265,6 +265,11 @@ class TestTimeSeries:
         assert ts.n_modes[0] == 256
 
 
+#: the circle collapse of the benchmark, capped at its initial N = 64
+CAP_PARAMS = GclmParams(a=0.5, sigma=1.0, nu=1.0)
+CAP_CONTROLS = RunControls(t_end=1.4, n0=64, n_max=64)
+
+
 class TestSimulate:
     def test_tracks_periodic_pole_to_half_collapse_time(self):
         st = exact.PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)
@@ -322,6 +327,10 @@ class TestSimulate:
         assert state.t < t_c
         assert state.t > 0.95 * t_c
         assert state.n_refinements >= 1
+        # rule 3: the fitted distance against 5 grid spacings
+        assert state.stop_reason.startswith("delta = ")
+        assert "< 5 grid spacings" in state.stop_reason
+        assert f"N = {state.field.grid_size}," in state.stop_reason
 
     def test_under_resolved_start_triggers_refinement(self):
         # v_c0 = 0.05: the initial spectrum needs more than 64 modes
@@ -353,6 +362,55 @@ class TestSimulate:
         series, state = simulate(f, params, controls)
         assert series.terminal_status is TerminalStatus.REACHED_T_END
         assert series.max_abs_omega[-1] < series.max_abs_omega[0]
+        assert state.stop_reason == "reached t_end = 5 at N = 64"
+
+    def test_resolution_cap_is_reported(self):
+        # the benchmark's two-mode collapse held at N = 64: the tail leaves
+        # the trust band before delta falls to 5 grid spacings
+        series, state = simulate(two_mode_field(4.0, 64), CAP_PARAMS,
+                                 CAP_CONTROLS)
+        assert series.terminal_status is TerminalStatus.RESOLUTION_CAP_HIT
+        assert state.t == pytest.approx(1.15181, abs=1e-5)
+        assert state.field.grid_size == 64
+        assert state.stop_reason.startswith("tail/peak = ")
+        ratio = float(state.stop_reason.split()[2])
+        assert ratio > dynamics.TAIL_TRUST
+        assert f"N = 64, t = {state.t:.6g}" in state.stop_reason
+        assert series.t[-1] == state.t
+
+    def test_each_field_is_fitted_once(self, monkeypatch):
+        # the capped run fits every step's field: the sample rows and the
+        # collapse rule share each fit
+        fitted = []
+
+        def counted(field, *args, **kwargs):
+            fitted.append(hash(field.coeffs.tobytes()))
+            return fit(field, *args, **kwargs)
+
+        fit = tracker.fit_fourier_decay
+        monkeypatch.setattr(tracker, "fit_fourier_decay", counted)
+        simulate(two_mode_field(4.0, 64), CAP_PARAMS, CAP_CONTROLS)
+        assert len(set(fitted)) == len(fitted) == 64
+
+    def test_non_finite_step_is_reported(self, monkeypatch):
+        calls = []
+
+        def failing_step(c, dt, rhs, lin=None):
+            calls.append(dt)
+            out = rk8_step(c, dt, rhs, lin)
+            return out if len(calls) < 3 else np.full_like(out, np.nan)
+
+        monkeypatch.setattr(dynamics, "rk8_step", failing_step)
+        series, state = simulate(two_mode_field(0.1, 64),
+                                 GclmParams(a=0.5, sigma=1.0, nu=1.0),
+                                 RunControls(t_end=10.0, n0=64))
+        assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
+        assert state.step == 2
+        assert state.stop_reason == (f"non-finite coefficients in the step "
+                                     f"from t = {state.t:.6g} at N = 64")
+        # the last finite state is recorded once
+        assert series.t[-1] == state.t
+        assert np.count_nonzero(series.t == state.t) == 1
 
     def test_step_sampled_run_records_its_final_state(self):
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
@@ -413,9 +471,11 @@ class TestSimulate:
 
     @pytest.mark.parametrize("kwargs", [
         {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},
-        {"sample_dt": 0.0}, {"sample_dt": -0.1}],
+        {"sample_dt": 0.0}, {"sample_dt": -0.1}, {"dt_max": 0.0},
+        {"n0": 100}, {"n0": 4}],
         ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_dt_zero",
-             "sample_dt_negative"])
+             "sample_dt_negative", "dt_max_zero", "n0_not_power_of_two",
+             "n0_below_eight"])
     def test_invalid_controls_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunControls(**kwargs)

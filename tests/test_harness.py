@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import gclm
-from gclm import cli
+from gclm import cli, exact
 from gclm import collapse as collapse_mod
 from gclm import harness
 from gclm.dynamics import RunControls, TerminalStatus, TimeSeries
@@ -254,6 +254,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="0 < lo < hi"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("old, new", [
+        ("sample_dt = 0.01", "dt_max = 0.0"), ("n0 = 64", "n0 = 100")],
+        ids=["dt_max_zero", "n0_not_power_of_two"])
+    def test_controls_that_would_hang_or_be_ignored(self, old, new):
+        with pytest.raises(ConfigError, match=r"\[controls\] section"):
+            parse_config(SIM_CFG.replace(old, new))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="config file not found"):
             parse_config(tmp_path / "nope.cfg")
@@ -299,6 +306,36 @@ class TestRunModes:
         assert (Path(again["series"]).read_bytes()
                 == Path(artifacts["series"]).read_bytes())
 
+    def test_simulate_records_its_stop_reason(self):
+        artifacts = run(parse_config(SIM_CFG.replace("t_end = 1.2",
+                                                     "t_end = 0.1")))
+        fit = json.loads(Path(artifacts["fit"]).read_text())
+        assert fit["terminal_status"] == "ReachedTEnd"
+        assert fit["stop_reason"] == "reached t_end = 0.1 at N = 64"
+        manifest = Path(artifacts["manifest"]).read_text().splitlines()
+        assert "stop_reason = reached t_end = 0.1 at N = 64" in manifest
+
+    def test_unresolved_closed_form_data_is_sampled_finer(self):
+        # a global periodic_s0 state whose pole lies 0.1 from the axis:
+        # at n0 = 64 its tail is 1.5e-5 of the peak, and the aliased
+        # samples read as a collapse
+        text = (SIM_CFG.replace("omega_m1_0 = -3.0", "omega_m1_0 = 0.5")
+                .replace("v_c0 = 1.0,0.0", "v_c0 = 0.1,0.0")
+                .replace("t_end = 1.2", "t_end = 0.5")
+                .replace("sample_dt = 0.01", "sample_dt = 0.05"))
+        config = parse_config(text)
+        state = harness._family_state(config)
+        assert state.classify().kind is exact.Kind.GLOBAL
+        artifacts = run(config)
+        fit = json.loads(Path(artifacts["fit"]).read_text())
+        assert fit["terminal_status"] == "ReachedTEnd"
+        field0, _ = read_snapshot(artifacts["snapshot_initial"])
+        assert field0.grid_size == 256
+        final, t = read_snapshot(artifacts["snapshot_final"])
+        exact_vals = state.advance(t).field(final.grid_size).values()
+        err = np.max(np.abs(final.values() - exact_vals))
+        assert err < 1e-6 * np.max(np.abs(exact_vals))
+
     def test_oracle_compare_onepair(self):
         artifacts = run(parse_config(ORACLE_CFG))
         fit = json.loads(Path(artifacts["fit"]).read_text())
@@ -327,7 +364,8 @@ class TestRunModes:
                 lower=1.5, upper=1.5 + tol, n_probes=4,
                 probes=[collapse_mod.ProbeRecord(
                     amplitude=1.5, blew_up=False,
-                    status=TerminalStatus.REACHED_T_END, growth=0.5)])
+                    status=TerminalStatus.REACHED_T_END, growth=0.5,
+                    reason="reached t_end = 1.2 at N = 64")])
 
         monkeypatch.setattr(collapse_mod, "critical_amplitude", fake_critical)
         text = (SIM_CFG.replace("mode = simulate", "mode = critical_sweep")
@@ -339,6 +377,8 @@ class TestRunModes:
         assert payload["A_no_blowup"] == 1.5
         assert payload["A_blowup"] == pytest.approx(1.55)
         assert payload["probes"][0]["status"] == "ReachedTEnd"
+        assert payload["probes"][0]["reason"] == ("reached t_end = 1.2 "
+                                                  "at N = 64")
 
     def test_file_initial_data(self):
         field = two_mode_field(0.2, 64)
