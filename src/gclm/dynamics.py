@@ -242,6 +242,7 @@ class RunControls:
         if self.t_end <= 0 or not self.dt_max > 0 or not 0 < self.cfl <= 1:
             raise ValueError("t_end and dt_max must be > 0 and cfl in (0, 1]")
         check_grid_size(self.n0, "n0")
+        check_grid_size(self.n_max, "n_max")
         if self.n_max < self.n0:
             raise ValueError("n_max must be >= n0")
         if self.sample_dt is not None and not self.sample_dt > 0:

@@ -338,19 +338,20 @@ def manifest_config_text(path) -> str:
 
 
 def _aaa_record(field: SpectralField, t: float) -> dict:
-    vals = field.values()
-    x = field.grid()
-    stride = max(1, x.size // 2000)
-    fit = tracker.aaa_approximate(x[::stride], vals[::stride])
-    # judged on every node: a pole between two fitted samples shows there
-    err = float(np.max(np.abs(fit(x) - vals)))
-    scale = float(np.max(np.abs(vals)))
+    """AAA fit of every node, to the accuracy the snapshot's tail allows."""
+    peak = float(np.max(np.abs(field.coeffs)))
+    tol = max(tracker.AAA_TOL, tracker.AAA_TAIL_FACTOR
+              * field.tail_magnitude() / peak) if peak else tracker.AAA_TOL
+    fit = tracker.aaa_approximate(field.grid(), field.values(), tol=tol)
+    near = [p for p in fit.poles_near_axis() if abs(p.real) <= np.pi]
     return {
         "t": t,
+        "tol": tol,
         "poles": [[p.real, p.imag] for p in fit.poles],
         "residues": [[r.real, r.imag] for r in fit.residues],
-        "max_error": err,
-        "non_converged": bool(err > tracker.AAA_TOL * max(scale, 1e-300)),
+        "max_error": fit.max_error,
+        "non_converged": fit.non_converged,
+        "nearest_pole_distance": float(abs(near[0].imag)) if near else None,
     }
 
 

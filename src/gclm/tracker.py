@@ -33,8 +33,10 @@ FLOOR_TOL = 1e-13
 #: least-squares fits need at least this many usable modes
 MIN_WINDOW_MODES = 16
 
-#: relative error, to max |f|, that an AAA fit must reach to count as converged
+#: floor of the AAA tolerance (relative error to max |f|) for a fit to count
+#: as converged; a snapshot is fitted to AAA_TAIL_FACTOR times its tail/peak
 AAA_TOL = 1e-12
+AAA_TAIL_FACTOR = 10.0
 
 #: Froissart doublets with residue below this times max |f| are stripped
 AAA_CLEAN_UP_TOL = 1e-13
@@ -125,11 +127,9 @@ class RationalApprox:
     def __call__(self, z):
         return self._aaa(z)
 
-    def poles_near_axis(self, max_distance: float = np.inf) -> np.ndarray:
-        """Poles sorted by |Im|, optionally restricted to a strip."""
-        order = np.argsort(np.abs(self.poles.imag))
-        sel = self.poles[order]
-        return sel[np.abs(sel.imag) <= max_distance]
+    def poles_near_axis(self) -> np.ndarray:
+        """Poles sorted by distance |Im p| to the real axis."""
+        return self.poles[np.argsort(np.abs(self.poles.imag))]
 
 
 def aaa_approximate(points: np.ndarray, values: np.ndarray,
@@ -141,8 +141,6 @@ def aaa_approximate(points: np.ndarray, values: np.ndarray,
     AAA_CLEAN_UP_TOL * max|f|) are stripped; ``non_converged`` is set when the
     requested tolerance was not reached within ``max_degree`` support points.
     """
-    points = np.asarray(points)
-    values = np.asarray(values)
     approx = AAA(points, values, rtol=tol, max_terms=max_degree,
                  clean_up=True, clean_up_tol=AAA_CLEAN_UP_TOL)
     err = float(np.max(np.abs(approx(points) - values)))

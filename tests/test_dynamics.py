@@ -472,10 +472,10 @@ class TestSimulate:
     @pytest.mark.parametrize("kwargs", [
         {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},
         {"sample_dt": 0.0}, {"sample_dt": -0.1}, {"dt_max": 0.0},
-        {"n0": 100}, {"n0": 4}],
+        {"n0": 100}, {"n0": 4}, {"n0": 64, "n_max": 100}],
         ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_dt_zero",
              "sample_dt_negative", "dt_max_zero", "n0_not_power_of_two",
-             "n0_below_eight"])
+             "n0_below_eight", "n_max_not_power_of_two"])
     def test_invalid_controls_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunControls(**kwargs)
