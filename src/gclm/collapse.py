@@ -193,11 +193,14 @@ def critical_amplitude(make_initial, params: GclmParams,
     endpoints must classify as (no blow-up, blow-up), otherwise
     BadBracketError is raised; ``validate_bracket=False`` skips those two
     runs when the endpoints are already known.  Returns the final bracket
-    once its width is at most ``tol``; only midpoints count as probes.
+    once its width is at most ``tol``, which must be positive and finite;
+    only midpoints count as probes.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
         raise ValueError("bracket must satisfy 0 < lower < upper")
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     probes = []
 
     def probe(a: float) -> bool:

@@ -99,7 +99,9 @@ _STAB_REAL = 3.71
 class Rhs:
     """Evaluates d(w_hat)/dt for a fixed domain, parameter set and N.
 
-    ``diss`` records the dissipation treatment: the diagonal symbol
+    The fields come from one stacked inverse transform and the result from
+    one forward transform of the grid terms, the line's dissipation among
+    them. ``diss`` records the dissipation treatment: the diagonal symbol
     nu |k|^sigma, applied exactly by Lawson steps, on the circle with
     nu != 0; None elsewhere, where any dissipation is explicit.
     """
@@ -123,18 +125,18 @@ class Rhs:
         if adv:
             u, wx = adv
             nl = nl - p.a * u * wx
+        if ops.domain is Domain.LINE and p.nu != 0.0:
+            # sigma applications of (1 + cos q) d_q H^q (d_q H^q has the
+            # symbol |k|), the last one left on the grid for nl's transform
+            g = w
+            for j in range(int(round(p.sigma))):
+                g = ops.jac * ops.phys(ops.kabs * (ops.spec(g) if j else c))
+            nl = nl - p.nu * g
         out = ops.spec(nl)
-        if ops.domain is Domain.CIRCLE:
-            out[0] = 0.0  # exact mean conservation
-            return out if self.diss is None else out - self.diss * c
-        if p.nu != 0.0:
-            # sigma applications of (1 + cos q) d_q H^q; the symbol of
-            # d_q H^q is ik (-i sgn k) = |k|
-            d = c
-            for _ in range(int(round(p.sigma))):
-                d = ops.spec(ops.jac * ops.phys(ops.kabs * d))
-            out = out - p.nu * d
-        return out
+        if ops.domain is Domain.LINE:
+            return out
+        out[0] = 0.0  # exact mean conservation
+        return out if self.diss is None else out - self.diss * c
 
 
 def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,

@@ -206,6 +206,9 @@ def parse_config(source) -> RunConfig:
         if lo is None or hi is None or not 0 < lo < hi:
             raise ConfigError(
                 "sweep.bracket_lo/bracket_hi must satisfy 0 < lo < hi")
+        tol = sweep.get("tol", 0.1)
+        if not (isinstance(tol, (int, float)) and 0 < tol < np.inf):
+            raise ConfigError("sweep.tol must be a positive finite number")
     return RunConfig(mode=mode, domain=domain, params=params,
                      initial=initial, controls=controls,
                      output_dir=output_dir, sweep=sweep)

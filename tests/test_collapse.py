@@ -129,9 +129,12 @@ class TestBlowUpVerdict:
 class TestCriticalAmplitude:
     def patch_probe(self, monkeypatch, threshold):
         """Replace the PDE run by a step-function oracle at ``threshold``."""
-        calls = []
+        calls, runs = [], []
 
         def fake_simulate(initial, params, controls):
+            runs.append(1)
+            if len(runs) > 200:
+                raise AssertionError("bisection did not stop")
             a = calls.pop()
             if a >= threshold:
                 return power_law_series(), SimState(None, 1.0,
@@ -185,6 +188,19 @@ class TestCriticalAmplitude:
                                     validate_bracket=False)
         assert all(1.0 < p.amplitude < 3.0 for p in result.probes)
         assert result.upper - result.lower <= 0.5
+
+    @pytest.mark.parametrize("tol", [0.0, -0.1, np.nan],
+                             ids=["zero", "negative", "nan"])
+    def test_tol_must_be_positive_and_finite(self, monkeypatch, tol):
+        # raised before any probe: zero or negative would bisect forever,
+        # NaN would return the unbisected bracket
+        calls = self.patch_probe(monkeypatch, 2.0)
+        with pytest.raises(ValueError, match="tol"):
+            critical_amplitude(self.make_initial_factory(calls),
+                               GclmParams(a=0.0, sigma=1.0, nu=1.0),
+                               bracket=(1.0, 3.0), tol=tol,
+                               controls=RunControls())
+        assert calls == []
 
     def test_invalid_bracket_order_raises(self):
         with pytest.raises(ValueError):

@@ -28,7 +28,13 @@ from gclm.dynamics import (
     simulate,
 )
 from gclm.harness import two_mode_field
-from gclm.spectral import Domain, GclmParams, SpectralField, operators
+from gclm.spectral import (
+    FIELDS,
+    Domain,
+    GclmParams,
+    SpectralField,
+    operators,
+)
 
 
 def fd_time_derivative(state, t0, n, h=1e-6):
@@ -202,6 +208,45 @@ class TestRhsAgainstExactFamilies:
                                                                 nu):
         # only the circle with nu != 0 is Lawson-stepped
         assert Rhs(domain, GclmParams(a=0.5, nu=nu), 64).diss is None
+
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    @pytest.mark.parametrize("sigma", [0, 1, 2])
+    def test_line_rhs_matches_coefficient_space_dissipation(self, sigma, a):
+        # reference: the dissipation applied after the nonlinear term's
+        # transform, d = c then sigma rounds of spec(jac phys(|k| d))
+        n, c = 128, random_coeffs(128, seed=sigma)
+        c *= np.exp(-0.05 * np.arange(n + 1))
+        p = GclmParams(a=a, sigma=sigma, nu=0.7)
+        ops = operators(n, Domain.LINE)
+        w, ux, *adv = ops.fields(c, FIELDS if a else FIELDS[:2])
+        nl = w * ux - (a * adv[0] * adv[1] if adv else 0.0)
+        d = c
+        for _ in range(sigma):
+            d = ops.spec(ops.jac * ops.phys(ops.kabs * d))
+        ref = ops.spec(nl) - p.nu * d
+        got = Rhs(Domain.LINE, p, n)(c)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("state", [
+        exact.SchochetState(), exact.DoublePoleState(omega_m2_0=4.0)],
+        ids=["schochet", "double_pole"])
+    def test_line_rhs_takes_five_transforms(self, state, monkeypatch):
+        # one stacked irfft, two for the velocity when a != 0, one per
+        # dissipation round, one rfft of all grid terms together
+        rhs = Rhs(Domain.LINE, state.gclm_params(), 64)
+        c = state.field(64).coeffs
+        calls = []
+
+        def counted(fft):
+            def call(*args, **kwargs):
+                calls.append(fft.__name__)
+                return fft(*args, **kwargs)
+            return call
+
+        for fft in (np.fft.rfft, np.fft.irfft):
+            monkeypatch.setattr(np.fft, fft.__name__, counted(fft))
+        rhs(c)
+        assert len(calls) == 5, calls
 
     def test_rhs_is_resolution_independent(self):
         # band-limited data: coefficients of the rhs agree across grids

@@ -253,6 +253,11 @@ class TestConfigParsing:
         bad = base + "\n[sweep]\nbracket_lo = 2.0\nbracket_hi = 1.0\n"
         with pytest.raises(ConfigError, match="0 < lo < hi"):
             parse_config(bad)
+        bracket = base + "\n[sweep]\nbracket_lo = 1.0\nbracket_hi = 2.0\n"
+        for tol in ("0", "-0.1", "nan", "inf", "wide"):
+            with pytest.raises(ConfigError, match="sweep.tol"):
+                parse_config(bracket + f"tol = {tol}\n")
+        assert parse_config(bracket + "tol = 0.05\n").sweep["tol"] == 0.05
 
     @pytest.mark.parametrize("old, new", [
         ("sample_dt = 0.01", "dt_max = 0.0"), ("n0 = 64", "n0 = 100")],

@@ -150,13 +150,25 @@ class TestOperatorTable:
         assert np.allclose(f.ops.spec(f.ops.phys(f.coeffs)), f.coeffs,
                            atol=1e-15)
 
-    @pytest.mark.parametrize("n", [64, 512])
-    def test_stacked_transform_matches_one_transform_per_field(self, n):
-        # w, H w, u and w_x from one 2-D irfft, bit for bit
-        ops = operators(n, Domain.CIRCLE)
-        c = random_real_field(20, 2 * n, decay=0.01).coeffs
-        one_each = [ops.phys(c), ops.phys(ops.hilbert * c),
-                    ops.phys(ops.velocity * c), ops.phys(ops.ik * c)]
+    @pytest.mark.parametrize("n, domain", [
+        pytest.param(64, Domain.CIRCLE, id="64"),
+        pytest.param(512, Domain.CIRCLE, id="512"),
+        pytest.param(64, Domain.LINE, id="line-64"),
+        pytest.param(512, Domain.LINE, id="line-512")])
+    def test_stacked_transform_matches_one_transform_per_field(self, n,
+                                                               domain):
+        # w, u_x, u and w_x from one 2-D irfft, bit for bit; the line's
+        # rows are then finished on the grid
+        ops = operators(n, domain)
+        c = random_real_field(20, 2 * n, domain, decay=0.01).coeffs
+        if domain is Domain.CIRCLE:
+            one_each = [ops.phys(c), ops.phys(ops.hilbert * c),
+                        ops.phys(ops.velocity * c), ops.phys(ops.ik * c)]
+        else:
+            hw = ops.phys(ops.hilbert * c)
+            one_each = [ops.phys(c), hw - hw[0],
+                        ops.line_velocity(hw - hw[0]),
+                        ops.jac * ops.phys(ops.ik * c)]
         assert np.array_equal(ops.fields(c), one_each)
         assert np.array_equal(ops.fields(c, ("w", "ux")), one_each[:2])
 
