@@ -6,6 +6,7 @@ import argparse
 import sys
 
 from gclm import harness
+from gclm.collapse import BadBracketError, UndecidedProbeError
 from gclm.dynamics import RunControls
 from gclm.spectral import Domain, GclmParams
 
@@ -90,7 +91,10 @@ def main(argv=None) -> int:
     p_t1.set_defaults(func=_cmd_table1)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (harness.ConfigError, BadBracketError, UndecidedProbeError) as e:
+        parser.exit(2, f"gclm: error: {e}\n")  # argparse's own convention
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@
 a run approaching a finite-time singularity, assuming
 max|w| ~ C (t_c - t)^(-beta) and delta_x ~ (t_c - t)^alpha.
 ``critical_amplitude`` brackets the smallest initial amplitude that blows up
-by bisection over full simulations.
+by bisection over full simulations, each judged by ``VERDICT``.
 """
 
 from __future__ import annotations
@@ -20,20 +20,17 @@ from gclm.spectral import GclmParams
 __all__ = [
     "NoCollapseSignalError",
     "BadBracketError",
+    "UndecidedProbeError",
+    "VERDICT",
     "CollapseFit",
     "fit_collapse",
     "ProbeRecord",
     "CriticalAmplitude",
-    "blow_up_verdict",
     "critical_amplitude",
 ]
 
 #: max|w| must rise by this factor before a collapse fit is attempted
 MIN_GROWTH_DECADES = 4
-
-#: blow-up verdict: amplification threshold for runs stopped by the
-#: resolution cap or the time horizon
-BLOWUP_GROWTH = 1e4
 
 #: fraction of the window's log(t_c - t) range, nearest the singularity,
 #: excluded from the exponent regressions (see fit_collapse)
@@ -49,6 +46,10 @@ class NoCollapseSignalError(ValueError):
 
 class BadBracketError(ValueError):
     """Bisection endpoints do not straddle the blow-up threshold."""
+
+
+class UndecidedProbeError(ValueError):
+    """A bisection probe ended with a status that decides nothing."""
 
 
 @dataclass
@@ -166,20 +167,14 @@ class CriticalAmplitude:
     probes: list[ProbeRecord] = field(default_factory=list)
 
 
-def blow_up_verdict(series: TimeSeries) -> bool:
-    """Classify one probe run.
-
-    Blow-up: a CollapseDetected status, or growth of max|w| by at least
-    BLOWUP_GROWTH (1e4) with the last delta_x below 10 grid spacings.
-    Every other run counts as no blow-up by default, whether it decayed,
-    reached t_end still growing, or hit the resolution cap; nothing
-    certifies that verdict yet.
-    """
-    if series.terminal_status is TerminalStatus.COLLAPSE_DETECTED:
-        return True
-    amp, dx_last = series.max_abs_omega, series.delta_x[-1]  # NaN: no fit
-    return bool(np.max(amp) / amp[0] >= BLOWUP_GROWTH
-                and dx_last < 10.0 * np.pi / series.n_modes[-1])
+#: each terminal status's answer to "does this data blow up?"; None is
+#: undecided. ReachedTEnd is uncertified: a run still growing counts too.
+VERDICT = {
+    TerminalStatus.COLLAPSE_DETECTED: True,
+    TerminalStatus.REACHED_T_END: False,
+    TerminalStatus.RESOLUTION_CAP_HIT: None,
+    TerminalStatus.STEP_FAILED: None,
+}
 
 
 def critical_amplitude(make_initial, params: GclmParams,
@@ -189,12 +184,15 @@ def critical_amplitude(make_initial, params: GclmParams,
                        validate_bracket: bool = True) -> CriticalAmplitude:
     """Bisect the initial-data amplitude between decay and blow-up.
 
-    ``make_initial(amplitude)`` builds the initial SpectralField.  The
-    endpoints must classify as (no blow-up, blow-up), otherwise
-    BadBracketError is raised; ``validate_bracket=False`` skips those two
-    runs when the endpoints are already known.  Returns the final bracket
-    once its width is at most ``tol``, which must be positive and finite;
-    only midpoints count as probes.
+    ``make_initial(amplitude)`` builds the initial SpectralField.  Each
+    probe is one :func:`simulate` run judged by ``VERDICT``; an undecided
+    one, endpoints included, raises UndecidedProbeError at once, naming
+    the amplitude, status and stop reason.  The endpoints must classify
+    as (no blow-up, blow-up), otherwise BadBracketError is raised;
+    ``validate_bracket=False`` skips those two runs when the endpoints are
+    already known.  Returns the final bracket once its width is at most
+    ``tol``, which must be positive and finite; only midpoints count as
+    probes.
     """
     lo, hi = bracket
     if not 0 < lo < hi:
@@ -205,27 +203,26 @@ def critical_amplitude(make_initial, params: GclmParams,
 
     def probe(a: float) -> bool:
         series, final = simulate(make_initial(a), params, controls)
-        blew = blow_up_verdict(series)
-        growth = float(np.max(series.max_abs_omega)
-                       / series.max_abs_omega[0])
-        probes.append(ProbeRecord(amplitude=a, blew_up=blew,
-                                  status=series.terminal_status,
-                                  growth=growth, reason=final.stop_reason))
-        return blew
+        status, amp = series.terminal_status, series.max_abs_omega
+        if VERDICT[status] is None:
+            raise UndecidedProbeError(f"probe at amplitude {a!r} ended "
+                                      f"{status.value}: {final.stop_reason}")
+        probes.append(ProbeRecord(
+            amplitude=a, blew_up=VERDICT[status], status=status,
+            growth=float(np.max(amp) / amp[0]), reason=final.stop_reason))
+        return VERDICT[status]
 
-    endpoint_probes = []
     if validate_bracket:
         if probe(lo):
             raise BadBracketError(f"lower endpoint {lo} already blows up")
         if not probe(hi):
             raise BadBracketError(f"upper endpoint {hi} does not blow up")
-        endpoint_probes = list(probes)
-        probes.clear()
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if probe(mid):
             hi = mid
         else:
             lo = mid
-    return CriticalAmplitude(lower=lo, upper=hi, n_probes=len(probes),
-                             probes=endpoint_probes + probes)
+    return CriticalAmplitude(
+        lower=lo, upper=hi, probes=probes,
+        n_probes=len(probes) - (2 if validate_bracket else 0))

@@ -223,6 +223,7 @@ class TerminalStatus(enum.Enum):
     REACHED_T_END = "ReachedTEnd"
     COLLAPSE_DETECTED = "CollapseDetected"
     RESOLUTION_CAP_HIT = "ResolutionCapHit"
+    STEP_FAILED = "StepFailed"
 
 
 @dataclass
@@ -241,8 +242,9 @@ class RunControls:
     sample_dt: float | None = None  # None: t_end / SAMPLE_GRID
 
     def __post_init__(self):
-        if self.t_end <= 0 or not self.dt_max > 0 or not 0 < self.cfl <= 1:
-            raise ValueError("t_end and dt_max must be > 0 and cfl in (0, 1]")
+        if not (0 < self.t_end < np.inf and self.dt_max > 0
+                and 0 < self.cfl <= 1):
+            raise ValueError("need 0 < t_end < inf, dt_max > 0, 0 < cfl <= 1")
         check_grid_size(self.n0, "n0")
         check_grid_size(self.n_max, "n_max")
         if self.n_max < self.n0:
@@ -253,11 +255,14 @@ class RunControls:
 
 @dataclass
 class SimState:
+    """A run's state; at its end, the state :func:`_stop` judged."""
+
     field: SpectralField
     t: float
     step: int = 0
     n_refinements: int = 0
     stop_reason: str = ""  # one line from the stop rule that ended the run
+    fit: tracker.DecayFit | None = None  # of field; None: too clean to fit
 
 
 CSV_COLUMNS = ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "linf", "b0",
@@ -343,16 +348,16 @@ def _sample_row(field: SpectralField, t: float,
 def _stop(state: SimState, t_end: float, finite: bool, cap_tail: float,
           fit: tracker.DecayFit | None) -> tuple[TerminalStatus, str] | None:
     """The first of :func:`simulate`'s stop rules that holds, as (status,
-    reason), or None. In order: 1. the trial step went non-finite
-    (CollapseDetected); 2. ``cap_tail``, tail/peak at n_max, exceeds
-    TAIL_TRUST (ResolutionCapHit); 3. ``fit``, made on sampled and capped
-    fields, puts the singularity within COLLAPSE_DELTA_FACTOR grid
-    spacings (CollapseDetected); 4. t reached t_end (ReachedTEnd).
-    """
+    reason), or None; the one place a run's outcome is decided. In order:
+    1. the trial step went non-finite (StepFailed); 2. ``cap_tail``,
+    tail/peak at n_max, exceeds TAIL_TRUST (ResolutionCapHit); 3. ``fit``,
+    made on sampled and capped fields, puts the singularity within
+    COLLAPSE_DELTA_FACTOR grid spacings (CollapseDetected); 4. t reached
+    t_end (ReachedTEnd)."""
     n, t = state.field.grid_size, state.t
     floor = COLLAPSE_DELTA_FACTOR * np.pi / n
     if not finite:
-        return (TerminalStatus.COLLAPSE_DETECTED, "non-finite coefficients "
+        return (TerminalStatus.STEP_FAILED, "non-finite coefficients "
                 f"in the step from t = {t:.6g} at N = {n}")
     if cap_tail > TAIL_TRUST:
         return (TerminalStatus.RESOLUTION_CAP_HIT, f"tail/peak = "
@@ -380,8 +385,8 @@ def simulate(initial: SpectralField, params: GclmParams,
     t = 0; each step that passes a point k * sample_dt of the time grid or
     takes max|w| past SAMPLE_GROWTH times its last sample (evenly in
     log(t_c - t) near a collapse), never shortened to land on the grid;
-    the final state. Each sampled or capped field is fitted once.
-    """
+    the final state. Each sampled, capped or final field is fitted once;
+    the final fit is ``SimState.fit``."""
     params.validate(initial.domain)
     field = initial.copy()
     if field.grid_size < controls.n0:
@@ -390,7 +395,7 @@ def simulate(initial: SpectralField, params: GclmParams,
     state = SimState(field=field, t=0.0)
     sample_dt = controls.sample_dt or controls.t_end / SAMPLE_GRID
     rhs = Rhs(field.domain, params, field.grid_size)
-    at_cap, cap_tail, fit = False, 0.0, _decay_fit(field)
+    at_cap, cap_tail, fit, fitted = False, 0.0, _decay_fit(field), field
     series.append(**_sample_row(field, 0.0, fit))
     stop = _stop(state, controls.t_end, True, cap_tail, fit)
     while stop is None:
@@ -417,12 +422,14 @@ def simulate(initial: SpectralField, params: GclmParams,
             due = (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
                    or np.max(np.abs(trial.values()))
                    > SAMPLE_GROWTH * series.max_abs_omega[-1])
-            fit = _decay_fit(trial) if due or at_cap else None
+            if due or at_cap:
+                fit, fitted = _decay_fit(trial), trial
             if due:
                 series.append(**_sample_row(trial, state.t, fit))
-        stop = _stop(state, controls.t_end, finite, cap_tail, fit)
-    if state.t > series.t[-1]:  # fitted already if capped
-        series.append(**_sample_row(
-            state.field, state.t, fit if at_cap else _decay_fit(state.field)))
+        stop = _stop(state, controls.t_end, finite, cap_tail,
+                     fit if fitted is state.field else None)
+    state.fit = fit if fitted is state.field else _decay_fit(state.field)
+    if state.t > series.t[-1]:
+        series.append(**_sample_row(state.field, state.t, state.fit))
     series.terminal_status, state.stop_reason = stop
     return series, state

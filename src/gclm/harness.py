@@ -201,14 +201,16 @@ def parse_config(source) -> RunConfig:
     sweep = {k: _parse_scalar(v) for k, v in cp.items("sweep")} \
         if cp.has_section("sweep") else {}
     if mode is Mode.CRITICAL_SWEEP:
-        lo = sweep.get("bracket_lo")
-        hi = sweep.get("bracket_hi")
-        if lo is None or hi is None or not 0 < lo < hi:
-            raise ConfigError(
-                "sweep.bracket_lo/bracket_hi must satisfy 0 < lo < hi")
+        lo, hi = sweep.get("bracket_lo"), sweep.get("bracket_hi")
         tol = sweep.get("tol", 0.1)
-        if not (isinstance(tol, (int, float)) and 0 < tol < np.inf):
+        num = (int, float)  # type(), not isinstance: a bool is no number
+        if not (type(lo) in num and type(hi) in num and 0 < lo < hi < np.inf):
+            raise ConfigError("sweep.bracket_lo/bracket_hi must be finite "
+                              "numbers with 0 < lo < hi")
+        if not (type(tol) in num and 0 < tol < np.inf):
             raise ConfigError("sweep.tol must be a positive finite number")
+        if type(sweep.get("validate_bracket", True)) is not bool:
+            raise ConfigError("sweep.validate_bracket must be true or false")
     return RunConfig(mode=mode, domain=domain, params=params,
                      initial=initial, controls=controls,
                      output_dir=output_dir, sweep=sweep)
@@ -393,17 +395,16 @@ def run(config: RunConfig) -> dict:
                        "stop_reason": stop_reason, "t_final": final.t,
                        "n_final": final.field.grid_size}
         try:
-            cfit = collapse_mod.fit_collapse(series)
-            fit_payload["collapse"] = dataclasses.asdict(cfit)
+            fit_payload["collapse"] = collapse_mod.fit_collapse(series)
         except collapse_mod.NoCollapseSignalError as e:
             fit_payload["collapse"] = None
             fit_payload["collapse_note"] = str(e)
-        try:
-            dfit = tracker.fit_fourier_decay(final.field)
-            fit_payload["decay"] = dataclasses.asdict(dfit)
-        except tracker.SpectrumTooCleanError as e:
-            fit_payload["decay"] = None
-            fit_payload["decay_note"] = str(e)
+        fit_payload["decay"] = final.fit  # simulate's fit of final.field
+        if final.fit is None:
+            fit_payload["decay_note"] = (
+                f"the decay fit needs at least {tracker.MIN_WINDOW_MODES} "
+                f"modes above {tracker.FLOOR_TOL:g} of the peak in the k "
+                f"window [N/4, N/3]")
         _write_json(emit("fit", "fit.json"), fit_payload)
         _write_json(emit("aaa", "aaa.json"),
                     _aaa_record(final.field, final.t))
@@ -451,16 +452,12 @@ def run(config: RunConfig) -> dict:
         write_snapshot(field, t,
                        str(emit("snapshot_final", "snapshot_final.txt")))
     elif config.mode is Mode.CRITICAL_SWEEP:
-        lo, hi = config.sweep["bracket_lo"], config.sweep["bracket_hi"]
-        tol = config.sweep.get("tol", 0.1)
-        validate = bool(config.sweep.get("validate_bracket", True))
-
-        def make_initial(a):
-            return two_mode_field(a, config.controls.n0, config.domain)
-
+        sweep = config.sweep
         result = collapse_mod.critical_amplitude(
-            make_initial, config.params, (lo, hi), tol, config.controls,
-            validate_bracket=validate)
+            lambda a: two_mode_field(a, config.controls.n0, config.domain),
+            config.params, (sweep["bracket_lo"], sweep["bracket_hi"]),
+            sweep.get("tol", 0.1), config.controls,
+            validate_bracket=sweep.get("validate_bracket", True))
         _write_json(emit("critical", "critical.json"), {
             "a": config.params.a,
             "sigma": config.params.sigma,

@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 
 from gclm import collapse as collapse_mod
 from gclm.collapse import (
+    VERDICT,
     BadBracketError,
     NoCollapseSignalError,
-    blow_up_verdict,
+    UndecidedProbeError,
     critical_amplitude,
     fit_collapse,
 )
 from gclm.dynamics import RunControls, SimState, TerminalStatus, TimeSeries
+from gclm.harness import two_mode_field
 from gclm.spectral import GclmParams
 
 
@@ -109,33 +111,32 @@ class TestFitCollapse:
 
 class TestBlowUpVerdict:
     def test_collapse_status_is_blow_up(self):
-        assert blow_up_verdict(power_law_series())
+        assert VERDICT[power_law_series().terminal_status] is True
 
     def test_decaying_run_is_not(self):
-        assert not blow_up_verdict(flat_series(decreasing=True))
+        assert VERDICT[flat_series(decreasing=True).terminal_status] is False
 
-    def test_capped_run_with_growth_and_tiny_delta(self):
-        ts = TimeSeries()
-        n_modes = 1024
-        for i, t in enumerate(np.linspace(0.0, 1.0, 30)):
-            amp = 10.0 ** (i / 4.0)
-            ts.append(t=t, max_abs_omega=amp, delta_x=5.0 * np.pi / n_modes,
-                      p_fit=0.0, l2=amp, linf=amp, b0=amp, energy=1.0,
-                      n_modes=n_modes)
-        ts.terminal_status = TerminalStatus.RESOLUTION_CAP_HIT
-        assert blow_up_verdict(ts)
+    def test_every_status_has_one_verdict(self):
+        assert set(VERDICT) == set(TerminalStatus)
+        # a capped run and a failed step decide nothing, however they grew
+        assert VERDICT[TerminalStatus.RESOLUTION_CAP_HIT] is None
+        assert VERDICT[TerminalStatus.STEP_FAILED] is None
 
 
 class TestCriticalAmplitude:
-    def patch_probe(self, monkeypatch, threshold):
-        """Replace the PDE run by a step-function oracle at ``threshold``."""
-        calls, runs = [], []
+    def patch_probe(self, monkeypatch, threshold, undecided=None):
+        """Replace the PDE run by a step-function oracle at ``threshold``;
+        ``undecided = (amplitude, status)`` ends that probe with status."""
+        calls, self.runs = [], []
 
         def fake_simulate(initial, params, controls):
-            runs.append(1)
-            if len(runs) > 200:
+            self.runs.append(1)
+            if len(self.runs) > 200:
                 raise AssertionError("bisection did not stop")
             a = calls.pop()
+            if undecided is not None and a == undecided[0]:
+                return (flat_series(amp=a, status=undecided[1]),
+                        SimState(None, 1.0, stop_reason="why not"))
             if a >= threshold:
                 return power_law_series(), SimState(None, 1.0,
                                                     stop_reason="up")
@@ -188,6 +189,60 @@ class TestCriticalAmplitude:
                                     validate_bracket=False)
         assert all(1.0 < p.amplitude < 3.0 for p in result.probes)
         assert result.upper - result.lower <= 0.5
+
+    @pytest.mark.parametrize("status", [TerminalStatus.RESOLUTION_CAP_HIT,
+                                        TerminalStatus.STEP_FAILED],
+                             ids=["cap", "step_failed"])
+    def test_undecided_probe_stops_the_bisection(self, monkeypatch, status):
+        calls = self.patch_probe(monkeypatch, 2.0, undecided=(2.0, status))
+        with pytest.raises(UndecidedProbeError,
+                           match=f"amplitude 2.0 ended {status.value}: "
+                                 f"why not"):
+            critical_amplitude(self.make_initial_factory(calls),
+                               GclmParams(a=0.0, sigma=1.0, nu=1.0),
+                               bracket=(1.0, 3.0), tol=0.01,
+                               controls=RunControls(),
+                               validate_bracket=False)
+        assert len(self.runs) == 1
+
+    @pytest.mark.parametrize("endpoint", [1.0, 3.0], ids=["lower", "upper"])
+    def test_undecided_endpoint_is_not_a_bad_bracket(self, monkeypatch,
+                                                     endpoint):
+        calls = self.patch_probe(
+            monkeypatch, 2.0,
+            undecided=(endpoint, TerminalStatus.RESOLUTION_CAP_HIT))
+        with pytest.raises(UndecidedProbeError,
+                           match=f"amplitude {endpoint!r} ended") as info:
+            critical_amplitude(self.make_initial_factory(calls),
+                               GclmParams(a=0.0, sigma=1.0, nu=1.0),
+                               bracket=(1.0, 3.0), tol=0.1,
+                               controls=RunControls())
+        assert not isinstance(info.value, BadBracketError)
+        assert len(self.runs) == (1 if endpoint == 1.0 else 2)
+
+    def test_capped_pde_probe_is_undecided(self, monkeypatch):
+        # two-mode data held at N = 64: A = 3.5 collapses (the bracket at
+        # n_max = 4096 is (3.4375, 3.5)), but its tail leaves the trust band
+        # first; counting each capped probe as no blow-up would give the
+        # bracket (3.9375, 4.0)
+        runs = []
+
+        def counted(*args):
+            runs.append(1)
+            return simulate(*args)
+
+        simulate = collapse_mod.simulate
+        monkeypatch.setattr(collapse_mod, "simulate", counted)
+        with pytest.raises(UndecidedProbeError,
+                           match=r"amplitude 3\.5 ended ResolutionCapHit: "
+                                 r"tail/peak = .* at N = 64"):
+            critical_amplitude(lambda amp: two_mode_field(amp, 64),
+                               GclmParams(a=0.5, sigma=1.0, nu=1.0),
+                               bracket=(3.0, 4.0), tol=0.1,
+                               controls=RunControls(t_end=50.0, n0=64,
+                                                    n_max=64),
+                               validate_bracket=False)
+        assert len(runs) == 1
 
     @pytest.mark.parametrize("tol", [0.0, -0.1, np.nan],
                              ids=["zero", "negative", "nan"])

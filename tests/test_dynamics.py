@@ -449,13 +449,53 @@ class TestSimulate:
         series, state = simulate(two_mode_field(0.1, 64),
                                  GclmParams(a=0.5, sigma=1.0, nu=1.0),
                                  RunControls(t_end=10.0, n0=64))
-        assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
+        assert series.terminal_status is TerminalStatus.STEP_FAILED
         assert state.step == 2
         assert state.stop_reason == (f"non-finite coefficients in the step "
                                      f"from t = {state.t:.6g} at N = 64")
         # the last finite state is recorded once
         assert series.t[-1] == state.t
         assert np.count_nonzero(series.t == state.t) == 1
+
+    @pytest.mark.parametrize("case", ["reached_t_end", "at_cap", "collapse",
+                                      "refined_then_failed"])
+    def test_final_fit_is_the_fit_of_the_final_field(self, monkeypatch,
+                                                     case):
+        st = exact.OnePairS1State(omega_m1_0=-0.5, v_c0=0.05, nu=1.0)
+        runs = {
+            # the last step is sampled by the final-state rule only
+            "reached_t_end": (st.field(256), st.gclm_params(),
+                              RunControls(t_end=0.01, n0=256, sample_dt=1.0)),
+            # at n_max every step is fitted; the run ends on rule 3 there
+            "at_cap": (two_mode_field(4.0, 256), CAP_PARAMS,
+                       RunControls(t_end=1.4, n0=256, n_max=256)),
+            "collapse": (two_mode_field(4.0, 64), CAP_PARAMS,
+                         RunControls(t_end=1.4, n0=64, n_max=512)),
+            # v_c0 = 0.05 needs more than 256 modes: the first step
+            # refines, and the next one, at N = 512, fails; the final field
+            # is then the padded t = 0 field, fitted by no sample row
+            "refined_then_failed": (st.field(256), st.gclm_params(),
+                                    RunControls(t_end=0.01, n0=256)),
+        }
+        if case == "refined_then_failed":
+            def failing_step(c, dt, rhs, lin=None):
+                out = rk8_step(c, dt, rhs, lin)
+                return out if rhs.n == 256 else np.full_like(out, np.nan)
+
+            monkeypatch.setattr(dynamics, "rk8_step", failing_step)
+        series, state = simulate(*runs[case])
+        try:
+            expected = tracker.fit_fourier_decay(state.field)
+        except tracker.SpectrumTooCleanError:
+            expected = None
+        assert state.fit == expected and expected is not None
+        if case == "refined_then_failed":
+            assert series.terminal_status is TerminalStatus.STEP_FAILED
+            assert state.n_refinements == 1 and state.t == 0.0
+            # the t = 0 row holds the fit at N = 256, on modes [64, 85];
+            # the padded field is fitted on modes [128, 170]
+            assert state.fit.k_window == (128, 170)
+            assert series.p_fit[-1] != state.fit.p
 
     def test_step_sampled_run_records_its_final_state(self):
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
@@ -517,10 +557,12 @@ class TestSimulate:
     @pytest.mark.parametrize("kwargs", [
         {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},
         {"sample_dt": 0.0}, {"sample_dt": -0.1}, {"dt_max": 0.0},
-        {"n0": 100}, {"n0": 4}, {"n0": 64, "n_max": 100}],
+        {"n0": 100}, {"n0": 4}, {"n0": 64, "n_max": 100},
+        {"t_end": np.inf}, {"t_end": np.nan}],
         ids=["t_end", "cfl", "cfl_above_one", "n_max", "sample_dt_zero",
              "sample_dt_negative", "dt_max_zero", "n0_not_power_of_two",
-             "n0_below_eight", "n_max_not_power_of_two"])
+             "n0_below_eight", "n_max_not_power_of_two", "t_end_inf",
+             "t_end_nan"])
     def test_invalid_controls_are_rejected(self, kwargs):
         with pytest.raises(ValueError):
             RunControls(**kwargs)

@@ -1,5 +1,6 @@
 """Tests for config handling, run orchestration, plots, and the CLI."""
 
+import dataclasses
 import io
 import json
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import gclm
-from gclm import cli, exact
+from gclm import cli, exact, tracker
 from gclm import collapse as collapse_mod
 from gclm import harness
 from gclm.dynamics import RunControls, TerminalStatus, TimeSeries
@@ -258,10 +259,26 @@ class TestConfigParsing:
             with pytest.raises(ConfigError, match="sweep.tol"):
                 parse_config(bracket + f"tol = {tol}\n")
         assert parse_config(bracket + "tol = 0.05\n").sweep["tol"] == 0.05
+        # numbers only, not words or booleans (true would read as 1)
+        sweeps = ["bracket_lo = low\nbracket_hi = 2.0\n",
+                  "bracket_lo = true\nbracket_hi = 2.0\n",
+                  "bracket_lo = 1.0\nbracket_hi = inf\n"]
+        for text in sweeps:
+            with pytest.raises(ConfigError, match="bracket_lo/bracket_hi"):
+                parse_config(base + "\n[sweep]\n" + text)
+        with pytest.raises(ConfigError, match="sweep.tol"):
+            parse_config(bracket + "tol = true\n")
+        # bool('no') is True: only true/false may set validation
+        for value in ("no", "1", "yes"):
+            with pytest.raises(ConfigError, match="validate_bracket"):
+                parse_config(bracket + f"validate_bracket = {value}\n")
+        assert parse_config(bracket + "validate_bracket = false\n").sweep[
+            "validate_bracket"] is False
 
     @pytest.mark.parametrize("old, new", [
-        ("sample_dt = 0.01", "dt_max = 0.0"), ("n0 = 64", "n0 = 100")],
-        ids=["dt_max_zero", "n0_not_power_of_two"])
+        ("sample_dt = 0.01", "dt_max = 0.0"), ("n0 = 64", "n0 = 100"),
+        ("t_end = 1.2", "t_end = inf"), ("t_end = 1.2", "t_end = nan")],
+        ids=["dt_max_zero", "n0_not_power_of_two", "t_end_inf", "t_end_nan"])
     def test_controls_that_would_hang_or_be_ignored(self, old, new):
         with pytest.raises(ConfigError, match=r"\[controls\] section"):
             parse_config(SIM_CFG.replace(old, new))
@@ -319,6 +336,28 @@ class TestRunModes:
         assert fit["stop_reason"] == "reached t_end = 0.1 at N = 64"
         manifest = Path(artifacts["manifest"]).read_text().splitlines()
         assert "stop_reason = reached t_end = 0.1 at N = 64" in manifest
+
+    def test_simulate_fits_no_field_twice(self, monkeypatch):
+        # fit.json's decay is simulate's fit of the final field
+        fitted, finals = [], []
+
+        def counted(field, *args, **kwargs):
+            fitted.append(hash(field.coeffs.tobytes()))
+            return fit(field, *args, **kwargs)
+
+        def recorded(*args):
+            series, final = simulate(*args)
+            finals.append(final)
+            return series, final
+
+        fit, simulate = tracker.fit_fourier_decay, harness.simulate
+        monkeypatch.setattr(tracker, "fit_fourier_decay", counted)
+        monkeypatch.setattr(harness, "simulate", recorded)
+        decay = json.loads(Path(run(parse_config(SIM_CFG))["fit"])
+                           .read_text())["decay"]
+        assert len(set(fitted)) == len(fitted)
+        expected = dataclasses.asdict(fit(finals[0].field))
+        assert decay == json.loads(json.dumps(expected))
 
     def test_simulate_aaa_pole_matches_the_closed_form(self):
         # the final snapshot (N = 4096, t = 1.09109) is fitted on every node
@@ -528,6 +567,29 @@ class TestCli:
         assert cli.main(["plots", str(tmp_path / "simrun")]) == 0
         printed = capsys.readouterr().out.splitlines()
         assert any(p.endswith("plot_amplitude.py") for p in printed)
+
+    def test_user_errors_end_with_a_message(self, tmp_path, monkeypatch,
+                                            capsys):
+        # exit status 2 and one line on stderr, no traceback
+        def error(argv):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+            return capsys.readouterr().err
+
+        monkeypatch.setenv("GCLM_OUTPUT_ROOT", str(tmp_path))
+        missing = tmp_path / "nonexistent.cfg"
+        assert error(["run", str(missing)]) == (
+            f"gclm: error: config file not found: {missing}\n")
+        # a probe held at N = 64 hits the cap: the sweep is undecided
+        rows = "a=0.5 sigma=1 lo=3 hi=4 tol=0.1 n_max=64 validate=0"
+        assert error(["table1", "--rows", rows]).startswith(
+            "gclm: error: probe at amplitude 3.5 ended ResolutionCapHit: "
+            "tail/peak = ")
+        # both endpoints decay below the threshold
+        rows = "a=0.5 sigma=1 lo=1 hi=2 tol=0.5 t_end=1"
+        assert error(["table1", "--rows", rows]) == (
+            "gclm: error: upper endpoint 2.0 does not blow up\n")
 
     def test_parse_row(self):
         row = cli._parse_row("a=0.5 sigma=1 nu=1 lo=3 hi=4 tol=0.1")
