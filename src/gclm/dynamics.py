@@ -1,9 +1,10 @@
 """Time integration of the dissipative gCLM equation.
 
 Pseudo-spectral right-hand sides on the circle and on the compactified real
-line (x = tan(q/2)), an 11-stage order-8 Cooper-Verner Runge-Kutta stepper
+line (x = tan(q/2)), the 12-stage order-8 DOP853 Runge-Kutta stepper
 (explicit, or Lawson on the circle's diagonal dissipation), step control
-by its stability interval, and an adaptive-resolution driver that doubles
+by its stability intervals (5.96 imaginary, 6.39 negative real) and its
+Lawson node span 1/12, and an adaptive-resolution driver that doubles
 the number of modes whenever the spectral tail rises above round-off.
 """
 
@@ -13,6 +14,7 @@ import enum
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.integrate import DOP853
 
 from gclm import tracker
 from gclm.spectral import (
@@ -42,55 +44,27 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# Cooper-Verner 11-stage, order-8 tableau (entries involve sqrt(21))
+# DOP853's 12-stage, order-8 tableau (Hairer, Norsett & Wanner, Solving
+# ODEs I, II.5), copied read-only from scipy's shared, writeable arrays
 
-_R = np.sqrt(21.0)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
 
-RK8_C = np.array([
-    0.0, 0.5, 0.5, (7.0 + _R) / 14.0, (7.0 + _R) / 14.0, 0.5,
-    (7.0 - _R) / 14.0, (7.0 - _R) / 14.0, 0.5, (7.0 + _R) / 14.0, 1.0,
-])
 
-RK8_A = np.zeros((11, 11))
-RK8_A[1, 0] = 0.5
-RK8_A[2, :2] = [0.25, 0.25]
-RK8_A[3, :3] = [1.0 / 7.0, (-7.0 - 3.0 * _R) / 98.0, (21.0 + 5.0 * _R) / 49.0]
-RK8_A[4, :4] = [(11.0 + _R) / 84.0, 0.0, (18.0 + 4.0 * _R) / 63.0,
-                (21.0 - _R) / 252.0]
-RK8_A[5, :5] = [(5.0 + _R) / 48.0, 0.0, (9.0 + _R) / 36.0,
-                (-231.0 + 14.0 * _R) / 360.0, (63.0 - 7.0 * _R) / 80.0]
-RK8_A[6, :6] = [(10.0 - _R) / 42.0, 0.0, (-432.0 + 92.0 * _R) / 315.0,
-                (633.0 - 145.0 * _R) / 90.0, (-504.0 + 115.0 * _R) / 70.0,
-                (63.0 - 13.0 * _R) / 35.0]
-RK8_A[7, :7] = [1.0 / 14.0, 0.0, 0.0, 0.0, (14.0 - 3.0 * _R) / 126.0,
-                (13.0 - 3.0 * _R) / 63.0, 1.0 / 9.0]
-RK8_A[8, :8] = [1.0 / 32.0, 0.0, 0.0, 0.0, (91.0 - 21.0 * _R) / 576.0,
-                11.0 / 72.0, (-385.0 - 75.0 * _R) / 1152.0,
-                (63.0 + 13.0 * _R) / 128.0]
-RK8_A[9, :9] = [1.0 / 14.0, 0.0, 0.0, 0.0, 1.0 / 9.0,
-                (-733.0 - 147.0 * _R) / 2205.0, (515.0 + 111.0 * _R) / 504.0,
-                (-51.0 - 11.0 * _R) / 56.0, (132.0 + 28.0 * _R) / 245.0]
-RK8_A[10, :10] = [0.0, 0.0, 0.0, 0.0, (-42.0 + 7.0 * _R) / 18.0,
-                  (-18.0 + 28.0 * _R) / 45.0, (-273.0 - 53.0 * _R) / 72.0,
-                  (301.0 + 53.0 * _R) / 72.0, (28.0 - 28.0 * _R) / 45.0,
-                  (49.0 - 7.0 * _R) / 18.0]
+RK8_A, RK8_B, RK8_C = (_frozen(x) for x in (DOP853.A, DOP853.B, DOP853.C))
 
-RK8_B = np.array([1.0 / 20.0, 0, 0, 0, 0, 0, 0, 49.0 / 180.0, 16.0 / 45.0,
-                  49.0 / 180.0, 1.0 / 20.0])
-
-#: the 5 distinct nodes, and the index into them of each stage's node
-_NODES, _STAGE_NODE = np.unique(RK8_C, return_inverse=True)
-
-#: largest c_j - c_i over the nonzero a_ij (sqrt(21)/7): the nodes are not
+#: largest c_j - c_i over the nonzero a_ij (1/12): the nodes are not
 #: monotone, so a Lawson stage multiplies mode k by up to
 #: exp(_LAWSON_SPAN * dt * L_k)
 _LAWSON_SPAN = float(max(RK8_C[j] - RK8_C[i]
                          for i, j in zip(*np.nonzero(RK8_A))))
 
 #: stability intervals of the tableau on the imaginary and negative real
-#: axes (3.0020 and 3.7154; Hairer & Wanner, Solving ODEs II, IV.2)
-_STAB_IMAG = 3.00
-_STAB_REAL = 3.71
+#: axes (5.9604 and 6.3937; Hairer & Wanner, Solving ODEs II, IV.2)
+_STAB_IMAG = 5.96
+_STAB_REAL = 6.39
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +115,7 @@ class Rhs:
 
 def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
              lin: np.ndarray | None = None) -> np.ndarray:
-    """One Cooper-Verner order-8 step on the coefficient array.
+    """One DOP853 order-8 step on the coefficient array.
 
     ``lin=None`` gives the explicit step. A diagonal symbol ``lin = L``,
     whose -L c is part of ``rhs``, gives the Lawson (integrating-factor)
@@ -150,21 +124,21 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
     i is Y_i = E(c_i) (c + dt sum_j a_ij K_j) with
     K_j = E(c_j)^-1 (rhs(Y_j) + L Y_j), and the step returns
     E(1) (c + dt sum_i b_i K_i). Since a_ij != 0 for some c_j > c_i, a
-    stage amplifies mode k by up to exp(sqrt(21)/7 dt L_k); the caller
+    stage amplifies mode k by up to exp(dt L_k / 12); the caller
     bounds dt (see :func:`adaptive_dt`).
     """
     if lin is not None:
-        # E(s) at the distinct nodes; the exponent is capped where exp
+        # E(c_i), one row per stage; the exponent is capped where exp
         # would underflow, so that a zero field stays zero (0/0 otherwise)
-        decay = np.exp(-np.minimum(_NODES[:, None] * (dt * lin), 700.0))
+        decay = np.exp(-np.minimum(RK8_C[:, None] * (dt * lin), 700.0))
     a = dt * RK8_A
-    k = np.empty((11, c.size), dtype=complex)
-    for i in range(11):
+    k = np.empty((RK8_B.size, c.size), dtype=complex)
+    for i in range(RK8_B.size):
         y = c + a[i, :i] @ k[:i]
         if lin is None:
             k[i] = rhs(y)
         else:
-            e = decay[_STAGE_NODE[i]]
+            e = decay[i]
             y = e * y
             k[i] = (rhs(y) + lin * y) / e
     out = c + (dt * RK8_B) @ k
@@ -180,14 +154,14 @@ def adaptive_dt(c: np.ndarray, rhs: Rhs, cfl: float,
     tableau keeps stable for ``rhs``.
 
     Advection has imaginary eigenvalues up to |a| max|u dq/dx| N and uses
-    the imaginary-axis stability interval 3.00; stretching gives the
+    the imaginary-axis stability interval 5.96; stretching gives the
     accuracy limit 1 / max|u_x|. Lawson steps (``rhs.diss`` set) have no
     stability limit from the dissipation; instead dt <= 1 / (span max
-    diss), with span = sqrt(21)/7 the largest node gap of the tableau,
+    diss), with span = 1/12 the largest node gap of the tableau,
     caps the stage growth of the top mode at e, and is not scaled by cfl.
     Otherwise the line's dissipation nu ((1 + cos q) d_q H^q)^sigma, whose
     factor has real eigenvalues in [0, 2N], uses the negative-real
-    interval 3.71. Degenerate pieces (zero coefficient or zero field)
+    interval 6.39. Degenerate pieces (zero coefficient or zero field)
     impose no limit; a zero field returns dt_max.
     """
     if not np.any(c):
@@ -375,7 +349,7 @@ def simulate(initial: SpectralField, params: GclmParams,
              controls: RunControls) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
-    Steps are Cooper-Verner RK8 (:func:`rk8_step`), Lawson where
+    Steps are DOP853 order 8 (:func:`rk8_step`), Lawson where
     ``Rhs.diss`` is set (the circle with nu != 0), explicit elsewhere, and
     sized by :func:`adaptive_dt`. A step that pushes the top of the
     spectrum above TAIL_TOL * max|w_k| is retried at doubled resolution;
