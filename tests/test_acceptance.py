@@ -208,9 +208,9 @@ def test_criterion_09_time_stepper_is_eighth_order():
     t_end = 0.4
 
     def integrate(m):
-        c = f0.coeffs.copy()
+        c, f = f0.coeffs.copy(), None
         for _ in range(m):
-            c = rk8_step(c, t_end / m, rhs)
+            c, f, _ = rk8_step(c, t_end / m, rhs, f0=f)
         return c
 
     ref = integrate(6000)

@@ -9,6 +9,7 @@ import io
 
 import numpy as np
 import pytest
+from scipy.integrate import DOP853
 
 from gclm import dynamics, exact, tracker
 from gclm.collapse import _fit_window
@@ -18,6 +19,8 @@ from gclm.dynamics import (
     RK8_A,
     RK8_B,
     RK8_C,
+    RK8_E3,
+    RK8_E5,
     SAMPLE_GROWTH,
     Rhs,
     RunControls,
@@ -85,21 +88,76 @@ class TestTableau:
         assert min(defects(9)) > 1e-6
 
     def test_tableau_is_read_only(self):
-        for arr in (RK8_A, RK8_B, RK8_C):
+        for arr in (RK8_A, RK8_B, RK8_C, RK8_E3, RK8_E5):
             assert not arr.flags.writeable
+
+    def test_error_weights_annihilate_low_orders(self):
+        # the weights of the 12 stages and the new state (node 1) give the
+        # difference to embedded methods of orders 5 and 3: they vanish on
+        # c^(q-1) for q = 1..5 and q = 1..3, and not one order higher; the
+        # new state's weight is zero, so rk8_step sums the 12 stages only
+        nodes = np.append(RK8_C, 1.0)
+        assert RK8_E3.size == RK8_E5.size == nodes.size == 13
+        assert RK8_E3[-1] == RK8_E5[-1] == 0.0
+        for q in range(1, 6):
+            assert abs(RK8_E5 @ nodes**(q - 1)) <= 1e-15, q
+        for q in range(1, 4):
+            assert abs(RK8_E3 @ nodes**(q - 1)) <= 1e-15, q
+        assert abs(RK8_E5 @ nodes**5) > 1e-4  # 4.5e-4
+        assert abs(RK8_E3 @ nodes**3) > 1e-2  # 2.5e-2
 
     def test_step_is_exact_for_zero_rhs(self):
         rhs = lambda c: np.zeros_like(c)
         c0 = np.arange(16, dtype=complex)
-        assert np.array_equal(rk8_step(c0, 0.5, rhs), c0)
+        step = rk8_step(c0, 0.5, rhs)
+        assert np.array_equal(step.c, c0) and step.error == 0.0
 
     def test_step_solves_linear_decay_to_order(self):
         # dc/dt = -c: one step of size h has error O(h^9)
         rhs = lambda c: -c
         c0 = np.ones(8, dtype=complex)
         for h in (0.5, 0.25):
-            err = abs(rk8_step(c0, h, rhs)[0] - np.exp(-h))
+            err = abs(rk8_step(c0, h, rhs).c[0] - np.exp(-h))
             assert err < 2.0 * h**9
+
+    def test_last_slope_is_the_rhs_at_the_new_state(self):
+        # the step returns rhs(new state), which the next step reuses as
+        # its first stage: reusing it changes no bit of the next step
+        rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=1.0, nu=1.0), 32)
+        c0 = two_mode_field(1.0, 32).coeffs
+        first = rk8_step(c0, 0.01, rhs, rhs.diss)
+        assert np.array_equal(first.f, rhs(first.c))
+        again = rk8_step(first.c, 0.01, rhs, rhs.diss)
+        reused = rk8_step(first.c, 0.01, rhs, rhs.diss, first.f)
+        assert np.array_equal(reused.c, again.c)
+        assert reused.error == again.error > 0.0
+
+
+class TestErrorEstimate:
+    def test_scipy_makes_the_same_accept_and_retry_decisions(self):
+        # scipy's DOP853 with atol = s (its rtol term is 1e-4 of that here)
+        # takes the step when our estimate is 0.9 s and, at 1.1 s, retries
+        # it shortened by the same factor
+        rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=1.0, nu=0.0), 16)
+        c0 = two_mode_field(1.0, 16).coeffs
+        h = 0.4
+        step = rk8_step(c0, h, rhs)
+        for ratio in (0.9, 1.1):
+            solver = DOP853(lambda t, y: rhs(y), 0.0, c0, 1.0, first_step=h,
+                            rtol=1e-13, atol=step.error / ratio)
+            solver.step()
+            if ratio < 1.0:
+                assert solver.step_size == h
+                assert np.max(np.abs(solver.y - step.c)) <= 1e-15
+            else:
+                assert solver.step_size == pytest.approx(
+                    h * dynamics._step_factor(ratio), rel=1e-4)
+
+    def test_step_factor_is_bounded(self):
+        assert dynamics._step_factor(0.0) == 10.0
+        assert dynamics._step_factor(1e-20) == 10.0
+        assert dynamics._step_factor(1.0) == pytest.approx(0.9)
+        assert dynamics._step_factor(np.inf) == 0.2
 
 
 def stability_function(z):
@@ -136,19 +194,20 @@ class TestLawsonStep:
         assert lawson_span() == pytest.approx(1.0 / 12.0, rel=1e-14)
 
     def test_linear_part_is_exact(self):
-        # rhs = -L c: one Lawson step is e^{-hL} c0, even at the largest
-        # step the growth bound allows
+        # rhs = -L c: one Lawson step is e^{-hL} c0, with a zero error
+        # estimate, even at the largest step the round-off cap allows
         lin = operators(16, Domain.CIRCLE).kabs ** 2
-        h = 1.0 / (lawson_span() * np.max(lin))
+        h = dynamics._LAWSON_GROWTH / (lawson_span() * np.max(lin))
         c0 = random_coeffs(16)
         got = rk8_step(c0, h, lambda c: -lin * c, lin)
-        assert np.max(np.abs(got - np.exp(-h * lin) * c0)) <= 1e-14
+        assert np.max(np.abs(got.c - np.exp(-h * lin) * c0)) <= 1e-14
+        assert got.error == 0.0
 
     def test_zero_field_stays_zero_at_any_step(self):
         # exp(-dt L) underflows to 0 here; the step must not form 0/0
         rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=2.0, nu=1.0), 64)
         out = rk8_step(np.zeros(65, dtype=complex), 50.0, rhs, rhs.diss)
-        assert np.array_equal(out, np.zeros(65))
+        assert np.array_equal(out.c, np.zeros(65)) and out.error == 0.0
 
     def test_self_convergence_is_eighth_order(self):
         # criterion 09's run at nu = 1, Lawson-stepped; the errors against
@@ -159,9 +218,9 @@ class TestLawsonStep:
         t_end = 0.4
 
         def integrate(m):
-            c = f0.coeffs.copy()
+            c, f = f0.coeffs.copy(), None
             for _ in range(m):
-                c = rk8_step(c, t_end / m, rhs, rhs.diss)
+                c, f, _ = rk8_step(c, t_end / m, rhs, rhs.diss, f)
             return c
 
         ref = integrate(2000)
@@ -178,9 +237,9 @@ class TestLawsonStep:
         _, state = simulate(f0, params, RunControls(t_end=1.0, n0=64))
         assert state.field.grid_size == 64 and state.t == pytest.approx(1.0)
         rhs = Rhs(Domain.CIRCLE, params, 64)
-        c = f0.coeffs.copy()
+        c, f = f0.coeffs.copy(), None
         for _ in range(500):
-            c = rk8_step(c, 1.0 / 500, rhs)
+            c, f, _ = rk8_step(c, 1.0 / 500, rhs, f0=f)
         err = np.max(np.abs(state.field.coeffs - c)) / np.max(np.abs(c))
         assert err <= 1e-10
 
@@ -281,23 +340,39 @@ class TestAdaptiveDt:
         f = SpectralField.from_function(lambda x: 2.0 * np.sin(x), 64)
         params = GclmParams(a=0.0, sigma=0.0, nu=0.0)
         rhs = Rhs(Domain.CIRCLE, params, 64)
-        dt = adaptive_dt(f.coeffs, rhs, 1.0 / 16.0, np.inf)
+        rhs(f.coeffs)
+        dt = adaptive_dt(rhs, 1.0 / 16.0, np.inf)
         assert dt == pytest.approx(1.0 / 32.0, rel=1e-12)
 
     def test_lawson_growth_limit_dominates(self):
-        # a = nu = 1, sigma = 2, N = 64, max|u| = max|Hw| = 1: the stage
-        # growth bound 1 / (span * 64^2) = 0.00293, outside cfl, is below
-        # the advection limit cfl * 5.96/64 = 0.00582
+        # a = nu = 1, sigma = 2, N = 64, max|u| = max|Hw| = 1: the round-off
+        # cap 8.41 / (span * 64^2) = 0.0246, outside cfl, is below the
+        # advection limit cfl * 5.96/64 = 0.0466 at cfl = 1/2
         f = SpectralField.from_function(np.cos, 64)
         params = GclmParams(a=1.0, sigma=2.0, nu=1.0)
         rhs = Rhs(Domain.CIRCLE, params, 64)
-        dt = adaptive_dt(f.coeffs, rhs, 1.0 / 16.0, np.inf)
-        assert dt == pytest.approx(1.0 / (lawson_span() * 64.0**2), rel=1e-12)
+        rhs(f.coeffs)
+        dt = adaptive_dt(rhs, 0.5, np.inf)
+        assert dt == pytest.approx(
+            dynamics._LAWSON_GROWTH / (lawson_span() * 64.0**2), rel=1e-12)
+        # ln(TAIL_TOL / eps)
+        assert dynamics._LAWSON_GROWTH == pytest.approx(8.41, abs=5e-3)
+
+    @pytest.mark.parametrize("nu", [0.0, 1.0], ids=["explicit", "lawson"])
+    def test_step_leaves_the_fields_of_its_new_state(self, nu):
+        # a step's last evaluation is at the new state, so the limit read
+        # after it is the limit of a fresh evaluation there
+        rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=1.0, nu=nu), 64)
+        step = rk8_step(two_mode_field(2.0, 64).coeffs, 0.05, rhs, rhs.diss)
+        reused = adaptive_dt(rhs, 0.5)
+        rhs(step.c)
+        assert adaptive_dt(rhs, 0.5) == reused
 
     def test_zero_field_returns_dt_max(self):
         c = np.zeros(65, dtype=complex)
         rhs = Rhs(Domain.CIRCLE, GclmParams(a=0.5, sigma=1.0, nu=1.0), 64)
-        assert adaptive_dt(c, rhs, 1.0 / 32.0, 2.5) == 2.5
+        rhs(c)
+        assert adaptive_dt(rhs, 1.0 / 32.0, 2.5) == 2.5
 
 
 class TestTimeSeries:
@@ -330,6 +405,39 @@ class TestTimeSeries:
 #: the circle collapse of the benchmark, capped at its initial N = 64
 CAP_PARAMS = GclmParams(a=0.5, sigma=1.0, nu=1.0)
 CAP_CONTROLS = RunControls(t_end=1.4, n0=64, n_max=64)
+
+#: the small-data decay of the benchmark (bench/workloads.py)
+DECAY_PARAMS = GclmParams(a=0.5, sigma=1.0, nu=1.0)
+
+
+def recording_step(monkeypatch):
+    """Wrap dynamics.rk8_step; returns the list it fills with the
+    (start coefficients, dt, Step) of every attempted step."""
+    attempts = []
+
+    def recorded(c, dt, rhs, lin=None, f0=None):
+        out = rk8_step(c, dt, rhs, lin, f0)
+        attempts.append((c, dt, out))
+        return out
+
+    monkeypatch.setattr(dynamics, "rk8_step", recorded)
+    return attempts
+
+
+def accepted(attempts, final):
+    """The attempts the run kept: those the next attempt starts from, and
+    the last one if it gave the final coefficients."""
+    ends = [c for c, _, _ in attempts[1:]] + [final]
+    return [(c, dt, out) for (c, dt, out), end in zip(attempts, ends)
+            if np.array_equal(out.c, end)]
+
+
+def accumulated(dts):
+    """Running time over steps dts, added in order as simulate adds them."""
+    t = 0.0
+    for dt in dts:
+        t += dt
+    return t
 
 
 class TestSimulate:
@@ -426,13 +534,22 @@ class TestSimulate:
         assert series.max_abs_omega[-1] < series.max_abs_omega[0]
         assert state.stop_reason == "reached t_end = 5 at N = 64"
 
-    def test_resolution_cap_is_reported(self):
+    def test_resolution_cap_is_reported(self, monkeypatch):
         # the benchmark's two-mode collapse held at N = 64: the tail leaves
-        # the trust band before delta falls to 5 grid spacings
+        # the trust band before delta falls to 5 grid spacings, before the
+        # collapse time 1.15367 (criterion 03), and the run stops at the
+        # first accepted step that takes it out
+        attempts = recording_step(monkeypatch)
         series, state = simulate(two_mode_field(4.0, 64), CAP_PARAMS,
                                  CAP_CONTROLS)
         assert series.terminal_status is TerminalStatus.RESOLUTION_CAP_HIT
-        assert state.t == pytest.approx(1.15181, abs=1e-5)
+        kept = accepted(attempts, state.field.coeffs)
+        tails = [SpectralField(out.c).tail_magnitude() / np.max(np.abs(out.c))
+                 for _, _, out in kept]
+        assert max(tails[:-1]) <= dynamics.TAIL_TRUST < tails[-1]
+        assert state.t == accumulated(dt for _, dt, _ in kept)
+        assert state.step == len(kept)
+        assert state.t < 1.15367
         assert state.field.grid_size == 64
         assert state.stop_reason.startswith("tail/peak = ")
         ratio = float(state.stop_reason.split()[2])
@@ -450,10 +567,10 @@ class TestSimulate:
             fitted.append(hash(field.coeffs.tobytes()))
             return fit(field, *args, **kwargs)
 
-        def recorded(c, dt, rhs, lin=None):
-            out = step(c, dt, rhs, lin)
-            tail = SpectralField(out, Domain.CIRCLE).tail_magnitude()
-            tails.append(tail / np.max(np.abs(out)))
+        def recorded(c, dt, rhs, lin=None, f0=None):
+            out = step(c, dt, rhs, lin, f0)
+            tail = SpectralField(out.c, Domain.CIRCLE).tail_magnitude()
+            tails.append(tail / np.max(np.abs(out.c)))
             times.append(times[-1] + dt)
             return out
 
@@ -468,12 +585,16 @@ class TestSimulate:
         assert len(set(fitted)) == len(fitted) == expected
 
     def test_non_finite_step_is_reported(self, monkeypatch):
-        calls = []
+        # the steps from the first two states succeed (a rejected attempt
+        # is retried from the same state), the first from the third fails
+        starts = []
 
-        def failing_step(c, dt, rhs, lin=None):
-            calls.append(dt)
-            out = rk8_step(c, dt, rhs, lin)
-            return out if len(calls) < 3 else np.full_like(out, np.nan)
+        def failing_step(c, dt, rhs, lin=None, f0=None):
+            if not starts or not np.array_equal(c, starts[-1]):
+                starts.append(c)
+            out = rk8_step(c, dt, rhs, lin, f0)
+            return out if len(starts) < 3 else out._replace(
+                c=np.full_like(out.c, np.nan))
 
         monkeypatch.setattr(dynamics, "rk8_step", failing_step)
         series, state = simulate(two_mode_field(0.1, 64),
@@ -508,9 +629,10 @@ class TestSimulate:
                                     RunControls(t_end=0.01, n0=256)),
         }
         if case == "refined_then_failed":
-            def failing_step(c, dt, rhs, lin=None):
-                out = rk8_step(c, dt, rhs, lin)
-                return out if rhs.n == 256 else np.full_like(out, np.nan)
+            def failing_step(c, dt, rhs, lin=None, f0=None):
+                out = rk8_step(c, dt, rhs, lin, f0)
+                return out if rhs.n == 256 else out._replace(
+                    c=np.full_like(out.c, np.nan))
 
             monkeypatch.setattr(dynamics, "rk8_step", failing_step)
         series, state = simulate(*runs[case])
@@ -535,12 +657,12 @@ class TestSimulate:
         assert series.t[-1] == state.t
 
     def test_sample_count_does_not_depend_on_step_size(self):
-        # the small-data decay of the benchmark, at its own step and at a
-        # step about five times shorter
-        params = GclmParams(a=0.5, sigma=1.0, nu=1.0)
-        runs = [simulate(two_mode_field(0.1, 64), params,
+        # the small-data decay of the benchmark, at two steps below
+        # sample_dt = 10/32, the second five times shorter (its own steps
+        # are longer than sample_dt, where the grid rule samples less)
+        runs = [simulate(two_mode_field(0.1, 64), DECAY_PARAMS,
                          RunControls(t_end=10.0, n0=64, dt_max=dt_max))
-                for dt_max in (np.inf, 0.005)]
+                for dt_max in (0.25, 0.05)]
         (coarse, coarse_state), (fine, fine_state) = runs
         assert fine_state.step > 4 * coarse_state.step
         assert len(fine) == len(coarse)
@@ -551,11 +673,11 @@ class TestSimulate:
         # times the largest growth of a single step
         growth = []
 
-        def traced_step(c, dt, rhs, lin=None):
-            out = rk8_step(c, dt, rhs, lin)
-            if np.all(np.isfinite(out)):
+        def traced_step(c, dt, rhs, lin=None, f0=None):
+            out = rk8_step(c, dt, rhs, lin, f0)
+            if np.all(np.isfinite(out.c)):
                 amp = [np.max(np.abs(SpectralField(v, Domain.CIRCLE).values()))
-                       for v in (c, out)]
+                       for v in (c, out.c)]
                 growth.append(amp[1] / amp[0])
             return out
 
@@ -567,6 +689,90 @@ class TestSimulate:
         assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
         amp = series.max_abs_omega[_fit_window(series)]
         assert np.all(amp[1:] / amp[:-1] < SAMPLE_GROWTH * max(growth))
+
+    def test_rejected_step_is_retried_from_the_same_state(self, monkeypatch):
+        attempts = recording_step(monkeypatch)
+        forced = dynamics.rk8_step
+
+        def first_rejected(c, dt, rhs, lin=None, f0=None):
+            out = forced(c, dt, rhs, lin, f0)
+            return out._replace(error=np.inf) if len(attempts) == 1 else out
+
+        monkeypatch.setattr(dynamics, "rk8_step", first_rejected)
+        _, state = simulate(two_mode_field(0.1, 64), DECAY_PARAMS,
+                            RunControls(t_end=1.0, n0=64, dt_max=0.25))
+        (c0, dt0, _), (c1, dt1, _) = attempts[:2]
+        assert np.array_equal(c1, c0) and dt1 == 0.2 * dt0
+        kept = accepted(attempts, state.field.coeffs)
+        assert kept[0][2] is attempts[1][2]
+        assert state.step == len(kept) == len(attempts) - 1
+        assert state.t == accumulated(dt for _, dt, _ in kept) == 1.0
+
+    def test_step_size_underflow_is_reported(self, monkeypatch):
+        # every estimate above tolerance: each retry is five times shorter,
+        # until the step no longer moves t
+        dts = []
+
+        def rejected(c, dt, rhs, lin=None, f0=None):
+            dts.append(dt)
+            return rk8_step(c, dt, rhs, lin, f0)._replace(error=np.inf)
+
+        monkeypatch.setattr(dynamics, "rk8_step", rejected)
+        series, state = simulate(two_mode_field(0.1, 64), DECAY_PARAMS,
+                                 RunControls(t_end=10.0, n0=64))
+        assert series.terminal_status is TerminalStatus.STEP_FAILED
+        assert state.stop_reason == "step size underflow at t = 0, N = 64"
+        assert state.step == 0 and state.t == 0.0
+        assert all(b == 0.2 * a for a, b in zip(dts, dts[1:]))
+        assert dts[-1] > 0.0 == 0.2 * dts[-1]
+
+    def test_decay_matches_a_fine_step_reference(self):
+        # the benchmark decay on its own steps against steps of at most
+        # 1e-2, whose error is at round-off
+        f0 = two_mode_field(0.1, 64)
+        _, state = simulate(f0, DECAY_PARAMS, RunControls(t_end=10.0, n0=64))
+        _, ref = simulate(f0, DECAY_PARAMS,
+                          RunControls(t_end=10.0, n0=64, dt_max=1e-2))
+        want = ref.field.values()
+        err = np.max(np.abs(state.field.values() - want))
+        assert err <= 1e-11 * np.max(np.abs(want))
+        assert state.step <= 20
+
+    def test_sigma_two_decay_is_not_held_at_the_stage_growth_bound(self):
+        # criterion 05's sigma = 2 case: 4,267 steps at the old bound
+        # 12/32^2, at most 600 under the round-off cap and error control
+        _, state = simulate(two_mode_field(0.1, 32),
+                            GclmParams(a=0.8, sigma=2.0, nu=1.0),
+                            RunControls(t_end=50.0, n0=32))
+        assert state.t == pytest.approx(50.0) and state.step <= 600
+
+    @pytest.mark.parametrize("case", ["decay", "collapse"])
+    def test_rhs_calls_are_twelve_per_attempt(self, monkeypatch, case):
+        # one evaluation at t = 0 and after each refinement; every attempt,
+        # rejected or not, then takes len(RK8_B) = 12: 11 stages and the
+        # new state, reused as the next step's first stage
+        runs = {
+            "decay": (two_mode_field(0.1, 64), DECAY_PARAMS,
+                      RunControls(t_end=10.0, n0=64)),
+            "collapse": (two_mode_field(4.0, 64), CAP_PARAMS,
+                         RunControls(t_end=1.4, n0=64, n_max=256)),
+        }
+        calls = []
+        call = Rhs.__call__
+
+        def counted(self, c):
+            calls.append(self.n)
+            return call(self, c)
+
+        monkeypatch.setattr(Rhs, "__call__", counted)
+        attempts = recording_step(monkeypatch)
+        _, state = simulate(*runs[case])
+        assert len(calls) == (len(RK8_B) * len(attempts) + 1
+                              + state.n_refinements)
+        if case == "decay":  # its first step is rejected
+            assert len(attempts) > state.step + state.n_refinements
+        else:
+            assert state.n_refinements == 2
 
     @pytest.mark.parametrize("cfl", [RunControls().cfl, 1.0])
     def test_line_steps_stay_stable_up_to_cfl_one(self, cfl):
