@@ -30,12 +30,14 @@ def _parse_row(text: str) -> dict:
     row = {}
     for item in text.replace(",", " ").split():
         key, _, val = item.partition("=")
-        if not val:
-            raise ValueError(f"bad row item {item!r}; expected key=value")
-        row[key] = float(val)
+        try:
+            row[key] = float(val)
+        except ValueError:
+            raise harness.ConfigError(
+                f"bad row item {item!r}; expected key=value") from None
     for req in ("a", "sigma", "lo", "hi"):
         if req not in row:
-            raise ValueError(f"row {text!r} missing {req}=")
+            raise harness.ConfigError(f"row {text!r} missing {req}=")
     return row
 
 
@@ -44,12 +46,16 @@ def _cmd_table1(args) -> int:
     for i, row in enumerate(rows):
         params = GclmParams(a=row["a"], sigma=row["sigma"],
                             nu=row.get("nu", 1.0))
-        controls = RunControls(
-            t_end=row.get("t_end", 50.0),
-            n0=int(row.get("n0", 64)),
-            n_max=int(row.get("n_max", 4096)),
-            sample_dt=row.get("sample_dt", 0.05),
-        )
+        try:
+            params.validate(Domain.CIRCLE)
+            controls = RunControls(
+                t_end=row.get("t_end", 50.0),
+                n0=int(row.get("n0", 64)),
+                n_max=int(row.get("n_max", 4096)),
+                sample_dt=row.get("sample_dt", 0.05),
+            )
+        except ValueError as e:
+            raise harness.ConfigError(f"row {i} invalid: {e}") from e
         config = harness.RunConfig(
             mode=harness.Mode.CRITICAL_SWEEP,
             domain=Domain.CIRCLE,

@@ -294,8 +294,8 @@ class SimState:
     fit: tracker.DecayFit | None = None  # of field; None: too clean to fit
 
 
-CSV_COLUMNS = ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "linf", "b0",
-               "energy", "n_modes")
+CSV_COLUMNS = ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "b0", "energy",
+               "n_modes")
 
 
 @dataclass
@@ -307,7 +307,6 @@ class TimeSeries:
     delta_x: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     p_fit: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     l2: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    linf: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     b0: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     energy: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
     n_modes: np.ndarray = dc_field(default_factory=lambda: np.empty(0, int))
@@ -333,6 +332,8 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, fh) -> "TimeSeries":
+        """Read the columns of CSV_COLUMNS by name; others are ignored (the
+        older files' copy of max_abs_omega, linf), a missing one raises."""
         with open_stream(fh) as stream:
             status = TerminalStatus.REACHED_T_END
             header = stream.readline().strip()
@@ -340,12 +341,14 @@ class TimeSeries:
                 status = TerminalStatus(header.split("=", 1)[1])
                 header = stream.readline().strip()
             names = header.split(",")
-            if tuple(names) != CSV_COLUMNS:
-                raise ValueError(f"unexpected CSV columns {names}")
+            missing = [name for name in CSV_COLUMNS if name not in names]
+            if missing:
+                raise ValueError(f"CSV columns {names} lack {missing}")
             rows = [line.split(",") for line in stream if line.strip()]
-        data = np.array(rows, dtype=float).reshape(-1, len(CSV_COLUMNS))
+        data = np.array(rows, dtype=float).reshape(-1, len(names))
         out = cls(terminal_status=status)
-        for name, col in zip(CSV_COLUMNS, data.T):
+        for name in CSV_COLUMNS:
+            col = data[:, names.index(name)]
             setattr(out, name, col.astype(int) if name == "n_modes" else col)
         return out
 
@@ -369,7 +372,7 @@ def _sample_row(field: SpectralField, t: float,
         p_fit = fit.p
     return {
         "t": t, "max_abs_omega": rep.linf, "delta_x": delta_x,
-        "p_fit": p_fit, "l2": rep.l2, "linf": rep.linf, "b0": rep.b0,
+        "p_fit": p_fit, "l2": rep.l2, "b0": rep.b0,
         "energy": rep.kinetic_energy, "n_modes": field.grid_size,
     }
 
@@ -390,8 +393,9 @@ def _stop(state: SimState, t_end: float, finite: bool, dt: float,
     the cut at t_end, no longer moves t (StepFailed); 2. ``cap_tail``,
     tail/peak at n_max, exceeds TAIL_TRUST (ResolutionCapHit); 3. ``fit``,
     made on sampled and capped fields, puts the singularity within
-    COLLAPSE_DELTA_FACTOR grid spacings (CollapseDetected); 4. t reached
-    t_end (ReachedTEnd)."""
+    COLLAPSE_DELTA_FACTOR grid spacings (CollapseDetected; a fit with
+    delta <= 0, a spectrum that does not decay, places none); 4. t
+    reached t_end (ReachedTEnd)."""
     n, t = state.field.grid_size, state.t
     floor = COLLAPSE_DELTA_FACTOR * np.pi / n
     if not finite:
@@ -403,7 +407,7 @@ def _stop(state: SimState, t_end: float, finite: bool, dt: float,
     if cap_tail > TAIL_TRUST:
         return (TerminalStatus.RESOLUTION_CAP_HIT, f"tail/peak = "
                 f"{cap_tail:.2g} > {TAIL_TRUST:g} at N = {n}, t = {t:.6g}")
-    if fit is not None and fit.delta < floor:
+    if fit is not None and 0.0 < fit.delta < floor:
         return (TerminalStatus.COLLAPSE_DETECTED, f"delta = {fit.delta:.3g} "
                 f"< {COLLAPSE_DELTA_FACTOR:g} grid spacings ({floor:.3g}) "
                 f"at N = {n}, t = {t:.6g}")

@@ -189,13 +189,10 @@ class PoleState:
 # ---------------------------------------------------------------------------
 # a = 0, sigma = 2 on the real line (Schochet)
 
-#: corrected amplitude constants K+- = 24(3 +- sqrt(6)); the originally
-#: published (erroneous) values 12(6 +- sqrt(6)) are kept for regression
-#: demonstration behind corrected=False.
-def schochet_k(sign: int, corrected: bool = True) -> float:
-    if corrected:
-        return 24.0 * (3.0 + sign * np.sqrt(6.0))
-    return 12.0 * (6.0 + sign * np.sqrt(6.0))
+#: amplitude constants K+- = 24(3 +- sqrt(6)); they correct the published
+#: values 12(6 +- sqrt(6)), which are in error.
+def schochet_k(sign: int) -> float:
+    return 24.0 * (3.0 + sign * np.sqrt(6.0))
 
 
 @dataclass
@@ -206,7 +203,6 @@ class SchochetState(PoleState):
     x2_0: complex = -2j
     nu: float = 1.0
     sign: int = 1
-    corrected: bool = True
     t: float = 0.0
 
     params_a = 0.0
@@ -214,7 +210,7 @@ class SchochetState(PoleState):
 
     @property
     def k_const(self) -> float:
-        return schochet_k(self.sign, self.corrected)
+        return schochet_k(self.sign)
 
     def _radicand(self, ts):
         return (self.x1_0 - self.x2_0) ** 2 - (5.0 / 3.0) * self.k_const * self.nu * np.asarray(ts)
@@ -292,7 +288,7 @@ class DoublePoleState(PoleState):
 
     def __post_init__(self):
         if self.v_c0 <= 0:
-            raise ValueError("v_c(0) must be positive")
+            raise ValueError(f"v_c0 must be positive, got {self.v_c0!r}")
         if self.v_c is None:
             self.v_c = self.v_c0
         if self.omega_m2 is None:
@@ -378,7 +374,7 @@ class _OnePair(PoleState):
         self.omega_m1_0 = complex(self.omega_m1_0)
         self.v_c0 = complex(self.v_c0)
         if self.v_c0.real <= 0:
-            raise ValueError("Re v_c(0) must be positive")
+            raise ValueError(f"Re v_c0 must be positive, got {self.v_c0!r}")
 
     def evaluate(self, x):
         return np.real(_pole_pairs(x, (self.omega_m1(), self.v_c())))
@@ -443,7 +439,7 @@ class TwoPairS1State(PoleState):
         for name in ("omega_m1_1_0", "omega_m1_2_0", "v_c1_0", "v_c2_0"):
             setattr(self, name, complex(getattr(self, name)))
         if self.v_c1_0.real <= 0 or self.v_c2_0.real <= 0:
-            raise ValueError("Re v_cj(0) must be positive")
+            raise ValueError("Re v_c1_0 and Re v_c2_0 must be positive")
 
     @property
     def c0(self) -> complex:

@@ -255,7 +255,10 @@ def _family_state(config: RunConfig):
     initial = config.initial
     kwargs = {k: v for k, v in initial.items()
               if k not in ("kind", "family")}
-    state = exact.family_from_name(initial["family"], **kwargs)
+    try:
+        state = exact.family_from_name(initial["family"], **kwargs)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"[initial] section invalid: {e}") from e
     if state.domain is not config.domain:
         raise ConfigError(
             f"family {initial['family']} lives on the "

@@ -25,10 +25,6 @@ __all__ = [
     "SpectralField",
     "GclmParams",
     "NormReport",
-    "hilbert",
-    "velocity_from_omega",
-    "velocity_line",
-    "c_omega_q",
     "norms",
     "write_snapshot",
     "read_snapshot",
@@ -146,9 +142,10 @@ class Operators:
 
         One stacked inverse transform on both domains. On the line
         (x = tan(q/2)) its rows are then finished on the grid:
-        u_x = (1 + cos q) u_q = H^q w + C[w] with C[w] = -H^q w at node 0
-        (q = -pi, see :func:`c_omega_q`), u by :meth:`line_velocity`, and
-        w_x = (1 + cos q) w_q.
+        u_x = (1 + cos q) u_q = H^q w + C[w] with
+        C[w] = -(1/2pi) PV int w(q') tan(q'/2) dq' = -H^q w(-pi), read at
+        grid node 0 (so the singularity of tan at q' = +-pi never appears),
+        u by :meth:`line_velocity`, and w_x = (1 + cos q) w_q.
         """
         rows = self._rows.get(names)
         if rows is None:  # once per selection: it is a per-stage cost
@@ -267,32 +264,6 @@ class NormReport:
     linf: float
     b0: float
     kinetic_energy: float
-
-
-def hilbert(f: SpectralField) -> SpectralField:
-    """Hilbert transform: multiply by -i sgn(k); the mean is annihilated."""
-    return SpectralField(f.coeffs * f.ops.hilbert, f.domain)
-
-
-def velocity_from_omega(f: SpectralField) -> SpectralField:
-    """Zero-mean velocity on the circle: u_k = H(w)_k / (ik), u_0 = 0."""
-    return SpectralField(f.coeffs * f.ops.velocity, f.domain)
-
-
-def c_omega_q(f: SpectralField) -> float:
-    """Constant making H^q w + C vanish at q = +-pi (line velocity recovery).
-
-    Equals -(1/2pi) PV int w(q') tan(q'/2) dq', evaluated spectrally as
-    -H^q w (pi) so the grid singularity at q' = +-pi never appears.
-    """
-    ops = f.ops
-    return float(-np.sum(ops.mult * (ops.hilbert * f.coeffs * ops.phase).real))
-
-
-def velocity_line(f: SpectralField) -> SpectralField:
-    """Velocity on the compactified line from (1+cos q) u_q = H^q w + C."""
-    (u,) = f.ops.fields(f.coeffs, ("u",))
-    return SpectralField.from_grid(u, f.domain)
 
 
 def norms(f: SpectralField) -> NormReport:

@@ -11,7 +11,7 @@ Two complementary estimators:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import AAA
@@ -56,11 +56,6 @@ class DecayFit:
     k_window: tuple[int, int]
     n_modes: int
     residual: float
-
-    @property
-    def gamma(self) -> float:
-        """Exponent of the algebraic singularity (q - q_c)^(-gamma)."""
-        return 1.0 - self.p
 
 
 def fit_fourier_decay(field: SpectralField,
@@ -122,10 +117,6 @@ class RationalApprox:
     residues: np.ndarray
     max_error: float
     non_converged: bool
-    _aaa: object = field(default=None, repr=False)
-
-    def __call__(self, z):
-        return self._aaa(z)
 
     def poles_near_axis(self) -> np.ndarray:
         """Poles sorted by distance |Im p| to the real axis."""
@@ -151,5 +142,4 @@ def aaa_approximate(points: np.ndarray, values: np.ndarray,
         residues=np.asarray(approx.residues()),
         max_error=err,
         non_converged=bool(err > tol * max(scale, 1e-300)),
-        _aaa=approx,
     )

@@ -41,7 +41,7 @@ def exact_family_series(state, tau_min, n=90):
         x = cl.x_c + np.linspace(-10, 10, 4001) * max(v1.real, 1e-6)
         amp = np.max(np.abs(adv.evaluate(x)))
         ts.append(t=t, max_abs_omega=amp, delta_x=v1.real, p_fit=0.0,
-                  l2=1.0, linf=amp, b0=1.0, energy=1.0, n_modes=1 << 20)
+                  l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
     ts.terminal_status = TerminalStatus.COLLAPSE_DETECTED
     return ts, cl
 

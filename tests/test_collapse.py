@@ -26,8 +26,7 @@ def power_law_series(t_c=1.5, beta=1.0, alpha=1.0, amp=2.0, dx0=0.3,
     for t in t_c - np.geomspace(0.95 * t_c, tau_min, n):
         tau = t_c - t
         ts.append(t=t, max_abs_omega=amp * tau**-beta, delta_x=dx0 * tau**alpha,
-                  p_fit=0.0, l2=1.0, linf=amp * tau**-beta, b0=1.0,
-                  energy=1.0, n_modes=1 << 20)
+                  p_fit=0.0, l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
     ts.terminal_status = status
     return ts
 
@@ -38,7 +37,7 @@ def flat_series(amp=1.0, n=40, status=TerminalStatus.REACHED_T_END,
     for i, t in enumerate(np.linspace(0.0, 10.0, n)):
         a = amp * (0.9 ** i if decreasing else 1.0)
         ts.append(t=t, max_abs_omega=a, delta_x=np.nan, p_fit=np.nan,
-                  l2=a, linf=a, b0=a, energy=a * a, n_modes=128)
+                  l2=a, b0=a, energy=a * a, n_modes=128)
     ts.terminal_status = status
     return ts
 
@@ -71,7 +70,7 @@ class TestFitCollapse:
         for i in range(0, 240, 3):
             thin.append(**{k: getattr(full, k)[i]
                            for k in ("t", "max_abs_omega", "delta_x", "p_fit",
-                                     "l2", "linf", "b0", "energy", "n_modes")})
+                                     "l2", "b0", "energy", "n_modes")})
         thin.terminal_status = full.terminal_status
         f_full, f_thin = fit_collapse(full), fit_collapse(thin)
         assert f_thin.t_c == pytest.approx(f_full.t_c, rel=1e-3)
@@ -101,7 +100,7 @@ class TestFitCollapse:
             x = cl.x_c + np.linspace(-10, 10, 4001) * max(v1.real, 1e-6)
             amp = np.max(np.abs(adv.evaluate(x)))
             ts.append(t=t, max_abs_omega=amp, delta_x=v1.real, p_fit=0.0,
-                      l2=1.0, linf=amp, b0=1.0, energy=1.0, n_modes=1 << 20)
+                      l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
         ts.terminal_status = TerminalStatus.COLLAPSE_DETECTED
         fit = fit_collapse(ts)
         assert fit.t_c == pytest.approx(cl.t_c, abs=1e-3)

@@ -380,7 +380,7 @@ class TestTimeSeries:
         ts = TimeSeries()
         for i, t in enumerate(np.linspace(0.0, 1.0, 9)):
             ts.append(t=t, max_abs_omega=1.0 + i, delta_x=0.5 / (1 + i),
-                      p_fit=2.0, l2=1.0, linf=1.0 + i, b0=3.0, energy=0.25,
+                      p_fit=2.0, l2=1.0, b0=3.0, energy=0.25,
                       n_modes=256)
         ts.terminal_status = TerminalStatus.REACHED_T_END
         return ts
@@ -400,6 +400,33 @@ class TestTimeSeries:
         ts = self.make_series()
         assert np.allclose(ts.t, np.linspace(0.0, 1.0, 9))
         assert ts.n_modes[0] == 256
+
+    def test_older_file_with_a_linf_column_reads(self):
+        # older series.csv files carry linf, a copy of max_abs_omega
+        text = ("# status=CollapseDetected\n"
+                "t,max_abs_omega,delta_x,p_fit,l2,linf,b0,energy,n_modes\n"
+                "0.0,5.25,nan,nan,7.5,5.25,6.0,26.5,64\n"
+                "0.125,6.5,0.75,1.5,8.0,6.5,6.25,27.0,128\n")
+        ts = TimeSeries.from_csv(io.StringIO(text))
+        assert ts.terminal_status is TerminalStatus.COLLAPSE_DETECTED
+        assert np.array_equal(ts.t, [0.0, 0.125])
+        assert np.array_equal(ts.max_abs_omega, [5.25, 6.5])
+        assert np.array_equal(ts.delta_x, [np.nan, 0.75], equal_nan=True)
+        assert np.array_equal(ts.b0, [6.0, 6.25])
+        assert np.array_equal(ts.energy, [26.5, 27.0])
+        assert np.array_equal(ts.n_modes, [64, 128])
+        assert ts.n_modes.dtype.kind == "i"
+        buf = io.StringIO()
+        ts.to_csv(buf)
+        kept = [",".join(c for i, c in enumerate(line.split(",")) if i != 5)
+                for line in text.splitlines()[1:]]
+        assert buf.getvalue().splitlines()[1:] == kept
+
+    def test_file_lacking_a_column_is_rejected(self):
+        text = ("t,max_abs_omega,delta_x,p_fit,l2,b0,n_modes\n"
+                "0.0,5.25,nan,nan,7.5,6.0,64\n")
+        with pytest.raises(ValueError, match="energy"):
+            TimeSeries.from_csv(io.StringIO(text))
 
 
 #: the circle collapse of the benchmark, capped at its initial N = 64
@@ -509,6 +536,27 @@ class TestSimulate:
         _, state = simulate(st.field(64), st.gclm_params(), controls)
         assert state.n_refinements >= 1
         assert state.field.grid_size > 64
+
+    def test_negative_delta_is_no_collapse(self, monkeypatch):
+        # a global solution whose fits at N = 256 reach delta < 0 (from
+        # -0.0911 at t = 0.0829 on): a fit that grows with k places no
+        # singularity, so the run goes on to t_end
+        deltas = []
+
+        def recorded(field):
+            out = fit(field)
+            deltas.append(out.delta)
+            return out
+
+        fit = tracker.fit_fourier_decay
+        monkeypatch.setattr(tracker, "fit_fourier_decay", recorded)
+        st = exact.OnePairS1State(omega_m1_0=-0.5, v_c0=0.05, nu=1.0)
+        assert st.classify().kind is exact.Kind.GLOBAL
+        controls = RunControls(t_end=0.1, n0=64, n_max=4096)
+        series, state = simulate(st.field(64), st.gclm_params(), controls)
+        assert min(deltas) < 0.0
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert state.stop_reason == "reached t_end = 0.1 at N = 256"
 
     def test_sample_dt_controls_cadence(self):
         # with steps shorter than sample_dt, every grid interval the run

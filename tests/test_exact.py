@@ -32,9 +32,6 @@ class TestSchochet:
     def test_k_constants(self):
         assert schochet_k(1) == pytest.approx(24.0 * (3.0 + np.sqrt(6.0)))
         assert schochet_k(-1) == pytest.approx(24.0 * (3.0 - np.sqrt(6.0)))
-        # the historically published values are kept available
-        assert schochet_k(1, corrected=False) == pytest.approx(
-            12.0 * (6.0 + np.sqrt(6.0)))
 
     def test_collapse_time_default_data(self):
         # t_c = -(12/5) x1 x2 / (K nu); x1 x2 = (-i)(-2i) = -2, so

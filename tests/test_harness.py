@@ -449,7 +449,7 @@ class TestRunModes:
         with open(artifacts["series"]) as fh:
             series = TimeSeries.from_csv(fh)
         assert series.terminal_status is TerminalStatus.REACHED_T_END
-        assert series.linf[0] == pytest.approx(
+        assert series.max_abs_omega[0] == pytest.approx(
             np.max(np.abs(field.values())), rel=1e-12)
 
 
@@ -490,7 +490,7 @@ class TestEmitPlots:
         for t in np.linspace(0.0, 1.0, 20):
             amp = np.exp(5.0 * t)
             ts.append(t=t, max_abs_omega=amp, delta_x=0.3 * (1.1 - t),
-                      p_fit=0.0, l2=amp, linf=amp, b0=amp, energy=1.0,
+                      p_fit=0.0, l2=amp, b0=amp, energy=1.0,
                       n_modes=256)
         ts.terminal_status = status
         return ts
@@ -590,6 +590,25 @@ class TestCli:
         rows = "a=0.5 sigma=1 lo=1 hi=2 tol=0.5 t_end=1"
         assert error(["table1", "--rows", rows]) == (
             "gclm: error: upper endpoint 2.0 does not blow up\n")
+        # a pole family's [initial] key or value it does not take
+        cfg = tmp_path / "bad.cfg"
+        for family, line, message in [
+                ("schochet", "x1_o = 0,-1", "SchochetState.__init__() got "
+                 "an unexpected keyword argument 'x1_o'"),
+                ("schochet", "corrected = false", "SchochetState.__init__() "
+                 "got an unexpected keyword argument 'corrected'"),
+                ("doublepole", "v_c0 = -1.0",
+                 "v_c0 must be positive, got -1.0")]:
+            cfg.write_text(EXACT_CFG.replace("family = schochet",
+                                             f"family = {family}\n{line}"))
+            assert error(["run", str(cfg)]) == (
+                f"gclm: error: [initial] section invalid: {message}\n")
+        # a table1 row that does not parse or names an invalid control
+        assert error(["table1", "--rows", "a=0.5 sigma"]) == (
+            "gclm: error: bad row item 'sigma'; expected key=value\n")
+        assert error(["table1", "--rows", "a=0.5 sigma=1 lo=3 hi=4 n0=100"]) \
+            == ("gclm: error: row 0 invalid: n0 must be a power of two >= 8, "
+                "got 100\n")
 
     def test_parse_row(self):
         row = cli._parse_row("a=0.5 sigma=1 nu=1 lo=3 hi=4 tol=0.1")

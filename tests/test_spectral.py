@@ -12,13 +12,9 @@ from gclm.spectral import (
     Domain,
     GclmParams,
     SpectralField,
-    c_omega_q,
-    hilbert,
     norms,
     operators,
     read_snapshot,
-    velocity_from_omega,
-    velocity_line,
     write_snapshot,
 )
 
@@ -55,6 +51,18 @@ def sampled(func, n=128, domain=Domain.CIRCLE):
 def derivative(f):
     """d/dx through the operator table's ik symbol."""
     return SpectralField(f.coeffs * f.ops.ik, f.domain)
+
+
+def hilbert(f):
+    """H through the operator table's -i sgn(k) symbol."""
+    return SpectralField(f.coeffs * f.ops.hilbert, f.domain)
+
+
+def line_constant(f):
+    """C[w] on the line: what Operators.fields adds to H^q w to form u_x,
+    read on every grid node."""
+    (ux,) = f.ops.fields(f.coeffs, ("ux",))
+    return ux - hilbert(f).values()
 
 
 def random_real_field(seed, n=128, domain=Domain.CIRCLE, decay=0.5):
@@ -179,22 +187,24 @@ class TestFields:
         w, ux, u, wx = f.ops.fields(f.coeffs)
         assert np.array_equal(w, f.values())
         assert np.allclose(ux, hilbert(f).values(), rtol=0, atol=1e-14)
-        assert np.allclose(u, velocity_from_omega(f).values(), rtol=0,
+        assert np.allclose(u, f.ops.phys(f.ops.velocity * f.coeffs), rtol=0,
                            atol=1e-14)
         assert np.allclose(wx, derivative(f).values(), rtol=0, atol=1e-14)
 
-    def test_line_fields_match_velocity_line_and_c_omega_q(self):
-        # double-pole data: u_x = H^q w + C[w], u from velocity_line, and
-        # w_x = (1 + cos q) w_q against the closed form of dw/dx
+    def test_line_fields_match_the_symbols_and_closed_form(self):
+        # double-pole data: u_x = H^q w + C[w] with C[w] = -H^q w(pi) summed
+        # from the coefficients, and w_x = (1 + cos q) w_q against the
+        # closed form of dw/dx
         from gclm.exact import DoublePoleState
 
         st = DoublePoleState()
         f = st.field(256)
-        w, ux, u, wx = f.ops.fields(f.coeffs)
+        ops = f.ops
+        w, ux, u, wx = ops.fields(f.coeffs)
         assert np.array_equal(w, f.values())
-        assert np.allclose(ux, hilbert(f).values() + c_omega_q(f), rtol=0,
+        c_w = -np.sum(ops.mult * (ops.hilbert * f.coeffs * ops.phase).real)
+        assert np.allclose(ux, hilbert(f).values() + c_w, rtol=0,
                            atol=1e-13)
-        assert np.allclose(u, velocity_line(f).values(), rtol=0, atol=1e-13)
         x = np.tan(f.grid() / 2.0)
         z = x - 1j * st.v_c
         wx_exact = np.real(1j * st.omega_m2 * (-2.0 / z**3
@@ -253,15 +263,15 @@ class TestOperators:
         assert np.allclose(derivative(f).values(), np.cos(f.grid()),
                            atol=1e-13)
 
-    def test_velocity_from_omega_sine(self):
+    def test_circle_velocity_of_sine(self):
         # u_x = H w; w = sin x gives u = -sin x (zero-mean normalisation)
         f = sampled(np.sin, 64)
-        u = velocity_from_omega(f)
-        assert np.allclose(u.values(), -np.sin(f.grid()), atol=1e-13)
+        (u,) = f.ops.fields(f.coeffs, ("u",))
+        assert np.allclose(u, -np.sin(f.grid()), atol=1e-13)
 
     def test_velocity_gradient_identity(self):
         f = random_real_field(10)
-        u = velocity_from_omega(f)
+        u = SpectralField(f.coeffs * f.ops.velocity, f.domain)
         assert np.allclose(derivative(u).coeffs, hilbert(f).coeffs,
                            atol=1e-13)
 
@@ -278,32 +288,33 @@ class TestOperators:
 
 
 class TestLineOperators:
-    def test_c_omega_q_of_sine(self):
-        # C[w] = -(1/2pi) pv-int w(q) tan(q/2) dq = -1 for w = sin q
+    def test_line_constant_of_sine(self):
+        # C[w] = -(1/2pi) pv-int w(q) tan(q/2) dq = -1 for w = sin q, so
+        # u_x = -cos q - 1
         f = sampled(np.sin, 64, Domain.LINE)
-        assert c_omega_q(f) == pytest.approx(-1.0, abs=1e-14)
+        assert line_constant(f) == pytest.approx(-1.0, abs=1e-14)
 
-    def test_c_omega_q_vanishes_for_even_cos(self):
+    def test_line_constant_vanishes_for_even_cos(self):
         f = sampled(lambda q: np.cos(2 * q), 64, Domain.LINE)
-        assert abs(c_omega_q(f)) < 1e-14
+        assert np.max(np.abs(line_constant(f))) < 1e-14
 
-    def test_velocity_line_boundary_condition(self):
+    def test_line_velocity_boundary_condition(self):
         f = random_real_field(11, domain=Domain.LINE)
-        u = velocity_line(f)
-        vals = u.values()
+        (vals,) = f.ops.fields(f.coeffs, ("u",))
         assert abs(vals[0]) < 1e-12  # q = -pi is the first grid point
 
-    def test_velocity_line_gradient_identity(self):
-        # (1 + cos q) u_q = H w + C[w]; holds for data whose velocity
+    def test_line_velocity_gradient_identity(self):
+        # (1 + cos q) u_q = H w + C[w] = u_x; holds for data whose velocity
         # decays at both ends (double-pole far field w ~ 1/x^2)
         from gclm.exact import DoublePoleState
 
         def identity_error(n):
             f = DoublePoleState().field(n)
-            u = velocity_line(f)
+            ux, u = f.ops.fields(f.coeffs, ("ux", "u"))
             q = f.grid()
-            lhs = (1.0 + np.cos(q)) * derivative(u).values()
-            rhs = hilbert(f).values() + c_omega_q(f)
+            lhs = (1.0 + np.cos(q)) * derivative(
+                SpectralField.from_grid(u, f.domain)).values()
+            rhs = ux
             interior = np.abs(np.abs(q) - np.pi) > 0.5
             return np.max(np.abs(lhs - rhs)[interior])
 
@@ -311,7 +322,7 @@ class TestLineOperators:
         # the residual comes from the singular-node fill and shrinks fast
         assert identity_error(256) < identity_error(128) / 10.0
 
-    def test_velocity_line_against_closed_form(self):
+    def test_line_velocity_against_closed_form(self):
         # double-pole data w = i w2 [(x-iv)^-2 - c.c.] has u = 2 w2 x/(x^2+v^2)
         from gclm.exact import DoublePoleState
 
@@ -319,7 +330,8 @@ class TestLineOperators:
         f = st.field(256)
         x = np.tan(f.grid() / 2.0)
         u_exact = 2.0 * st.omega_m2 * x / (x**2 + st.v_c**2)
-        assert np.max(np.abs(velocity_line(f).values() - u_exact)) < 1e-10
+        (u,) = f.ops.fields(f.coeffs, ("u",))
+        assert np.max(np.abs(u - u_exact)) < 1e-10
 
 
 class TestNorms:
