@@ -46,6 +46,9 @@ def _cmd_table1(args) -> int:
     for i, row in enumerate(rows):
         params = GclmParams(a=row["a"], sigma=row["sigma"],
                             nu=row.get("nu", 1.0))
+        sweep = {"bracket_lo": row["lo"], "bracket_hi": row["hi"],
+                 "tol": row.get("tol", 0.1),
+                 "validate_bracket": bool(row.get("validate", 1.0))}
         try:
             params.validate(Domain.CIRCLE)
             controls = RunControls(
@@ -54,6 +57,7 @@ def _cmd_table1(args) -> int:
                 n_max=int(row.get("n_max", 4096)),
                 sample_dt=row.get("sample_dt", 0.05),
             )
+            harness.check_sweep(sweep)
         except ValueError as e:
             raise harness.ConfigError(f"row {i} invalid: {e}") from e
         config = harness.RunConfig(
@@ -63,9 +67,7 @@ def _cmd_table1(args) -> int:
             initial={"kind": "two_mode", "amplitude": row["hi"]},
             controls=controls,
             output_dir=f"table1_row{i}",
-            sweep={"bracket_lo": row["lo"], "bracket_hi": row["hi"],
-                   "tol": row.get("tol", 0.1),
-                   "validate_bracket": bool(row.get("validate", 1.0))},
+            sweep=sweep,
         )
         artifacts = harness.run(config)
         print(f"row {i}: a={params.a} sigma={params.sigma} nu={params.nu} "

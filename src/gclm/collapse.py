@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from gclm.dynamics import RunControls, TerminalStatus, TimeSeries, simulate
 from gclm.spectral import GclmParams
@@ -110,6 +109,8 @@ def fit_collapse(series: TimeSeries) -> CollapseFit:
 
     beta0 = 1.0
     p0 = [y[-1] + beta0 * np.log(t_c0 - t[-1]), t_c0, beta0]
+    # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
+    from scipy.optimize import least_squares
     sol = least_squares(resid, p0, jac=jac,
                         bounds=([-np.inf, t_final * (1 + 1e-12), 0.0],
                                 [np.inf, np.inf, np.inf]),

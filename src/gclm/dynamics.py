@@ -18,7 +18,6 @@ from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.integrate import DOP853
 
 from gclm import tracker
 from gclm.spectral import (
@@ -52,19 +51,56 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # DOP853's 12-stage, order-8 tableau and its embedded 5th- and 3rd-order
-# error weights (Hairer, Norsett & Wanner, Solving ODEs I, II.5), copied
-# read-only from scipy's shared, writeable arrays. The weights have 13
-# entries; the last, for the slope at the new state, is zero, so the
-# estimate sums the 12 stages.
+# error weights (Hairer, Norsett & Wanner, Solving ODEs I, II.5), written
+# with repr so that they equal scipy.integrate.DOP853's arrays bit for bit
+# (tested); reading those would import scipy.integrate, 0.6 s and 50 MB.
+# A lists the a_ij, j < i, of each row. The weights have 13 entries; the
+# last, for the slope at the new state, is zero, so the estimate sums the
+# 12 stages.
 
-def _frozen(a: np.ndarray) -> np.ndarray:
+def _frozen(a) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.flags.writeable = False
     return out
 
 
-RK8_A, RK8_B, RK8_C = (_frozen(x) for x in (DOP853.A, DOP853.B, DOP853.C))
-RK8_E3, RK8_E5 = _frozen(DOP853.E3), _frozen(DOP853.E5)
+RK8_A = _frozen([row + (0.0,) * (12 - len(row)) for row in (
+    (), (0.05260015195876773,), (0.0197250569845379, 0.0591751709536137),
+    (0.02958758547680685, 0.0, 0.08876275643042054),
+    (0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792),
+    (0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242),
+    (0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596,
+     -0.017578125),
+    (0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+     -0.015319437748624402, 0.008273789163814023),
+    (0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+     27.59209969944671, 20.154067550477894, -43.48988418106996),
+    (0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+     21.230051448181193, 15.279233632882423, -33.28821096898486,
+     -0.020331201708508627),
+    (-0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+     -8.149787010746927, -18.52006565999696, 22.739487099350505,
+     2.4936055526796523, -3.0467644718982196),
+    (2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+     -17.9589318631188, 27.94888452941996, -2.8589982771350235,
+     -8.87285693353063, 12.360567175794303, 0.6433927460157636),
+)])
+RK8_B = _frozen([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, 0.3111643669578199,
+    -0.1521609496625161, 0.20136540080403034, 0.04471061572777259])
+RK8_C = _frozen([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0])
+RK8_E3 = _frozen([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409,
+    1.8915178993145003, -5.801203960010585, -0.4226823213237919,
+    -0.1521609496625161, 0.20136540080403034, 0.02265179219836082, 0.0])
+RK8_E5 = _frozen([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
+    -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
+    0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
 _RK8_E = _frozen(np.vstack((RK8_E5, RK8_E3))[:, :RK8_B.size])
 
 #: largest c_j - c_i over the nonzero a_ij (1/12): the nodes are not

@@ -28,8 +28,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from gclm.spectral import Domain, GclmParams, SpectralField
 
@@ -107,6 +105,8 @@ def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
     without changing sign.  ``f_vec`` evaluates f on a whole t array at
     once (the scan); f itself serves the root polish.
     """
+    # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
+    from scipy.optimize import brentq, minimize_scalar
     scale = max(abs(f(0.0)), 1e-12)
     t_hi = t_hint
     while t_hi <= t_cap:
@@ -307,6 +307,8 @@ class DoublePoleState(PoleState):
         def rhs(_t, y):
             v, om = y
             return [-(om / (4.0 * v) - self.nu), om * om / (4.0 * v * v)]
+        # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
+        from scipy.integrate import solve_ivp
         sol = solve_ivp(rhs, (0.0, t), [self.v_c0, self.omega_m2_0],
                         method="DOP853", rtol=1e-12, atol=1e-14,
                         dense_output=False)

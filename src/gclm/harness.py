@@ -66,6 +66,7 @@ __all__ = [
     "RunConfig",
     "ConfigError",
     "two_mode_field",
+    "check_sweep",
     "parse_config",
     "write_config",
     "run",
@@ -140,6 +141,20 @@ RETIRED_CONTROLS = {"tail_tol": TAIL_TOL, "tail_trust": TAIL_TRUST,
                     "collapse_delta_factor": COLLAPSE_DELTA_FACTOR}
 
 
+def check_sweep(sweep: dict) -> None:
+    """Raise ConfigError unless a [sweep] section's values are valid."""
+    lo, hi = sweep.get("bracket_lo"), sweep.get("bracket_hi")
+    tol = sweep.get("tol", 0.1)
+    num = (int, float)  # type(), not isinstance: a bool is no number
+    if not (type(lo) in num and type(hi) in num and 0 < lo < hi < np.inf):
+        raise ConfigError("sweep.bracket_lo/bracket_hi must be finite "
+                          "numbers with 0 < lo < hi")
+    if not (type(tol) in num and 0 < tol < np.inf):
+        raise ConfigError("sweep.tol must be a positive finite number")
+    if type(sweep.get("validate_bracket", True)) is not bool:
+        raise ConfigError("sweep.validate_bracket must be true or false")
+
+
 def parse_config(source) -> RunConfig:
     """Parse a config file (path, file object, or literal text)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#",))
@@ -201,16 +216,7 @@ def parse_config(source) -> RunConfig:
     sweep = {k: _parse_scalar(v) for k, v in cp.items("sweep")} \
         if cp.has_section("sweep") else {}
     if mode is Mode.CRITICAL_SWEEP:
-        lo, hi = sweep.get("bracket_lo"), sweep.get("bracket_hi")
-        tol = sweep.get("tol", 0.1)
-        num = (int, float)  # type(), not isinstance: a bool is no number
-        if not (type(lo) in num and type(hi) in num and 0 < lo < hi < np.inf):
-            raise ConfigError("sweep.bracket_lo/bracket_hi must be finite "
-                              "numbers with 0 < lo < hi")
-        if not (type(tol) in num and 0 < tol < np.inf):
-            raise ConfigError("sweep.tol must be a positive finite number")
-        if type(sweep.get("validate_bracket", True)) is not bool:
-            raise ConfigError("sweep.validate_bracket must be true or false")
+        check_sweep(sweep)
     return RunConfig(mode=mode, domain=domain, params=params,
                      initial=initial, controls=controls,
                      output_dir=output_dir, sweep=sweep)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import AAA
 
 from gclm.spectral import Domain, SpectralField
 
@@ -38,7 +37,8 @@ MIN_WINDOW_MODES = 16
 AAA_TOL = 1e-12
 AAA_TAIL_FACTOR = 10.0
 
-#: Froissart doublets with residue below this times max |f| are stripped
+#: Froissart doublets with |residue| / (distance to the nearest sample)
+#: below this times the geometric mean of |f| are stripped
 AAA_CLEAN_UP_TOL = 1e-13
 
 
@@ -128,12 +128,22 @@ def aaa_approximate(points: np.ndarray, values: np.ndarray,
                     max_degree: int = 100) -> RationalApprox:
     """AAA rational fit of sampled values with spurious poles removed.
 
-    Froissart doublets (pole/zero pairs with residue below
-    AAA_CLEAN_UP_TOL * max|f|) are stripped; ``non_converged`` is set when the
-    requested tolerance was not reached within ``max_degree`` support points.
+    Froissart doublets (see AAA_CLEAN_UP_TOL) are stripped by scipy's
+    clean-up; ``non_converged`` is set when the requested tolerance was not
+    reached within ``max_degree`` support points.
     """
+    # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
+    from scipy.interpolate import AAA
     approx = AAA(points, values, rtol=tol, max_terms=max_degree,
-                 clean_up=True, clean_up_tol=AAA_CLEAN_UP_TOL)
+                 clean_up=False)
+    # scipy's own doublet test: its clean_up, which imports scipy.stats for
+    # the geometric mean, runs only when the test finds a doublet
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gmean = np.exp(np.mean(np.log(np.abs(values))))
+        dist = np.min(np.abs(np.subtract.outer(approx.poles(), points)), 1)
+        doublet = np.abs(approx.residues()) / dist < AAA_CLEAN_UP_TOL * gmean
+    if np.any(doublet):
+        approx.clean_up(AAA_CLEAN_UP_TOL)
     err = float(np.max(np.abs(approx(points) - values)))
     scale = float(np.max(np.abs(values)))
     return RationalApprox(

@@ -91,6 +91,15 @@ class TestTableau:
         for arr in (RK8_A, RK8_B, RK8_C, RK8_E3, RK8_E5):
             assert not arr.flags.writeable
 
+    def test_tableau_is_scipys_dop853(self):
+        # the literals are repr-written, so they round-trip bit for bit
+        for ours, theirs in [(RK8_A, DOP853.A), (RK8_B, DOP853.B),
+                             (RK8_C, DOP853.C), (RK8_E3, DOP853.E3),
+                             (RK8_E5, DOP853.E5)]:
+            assert ours.shape == theirs.shape
+            assert np.array_equal(ours, theirs)
+            assert ours.tobytes() == np.asarray(theirs, float).tobytes()
+
     def test_error_weights_annihilate_low_orders(self):
         # the weights of the 12 stages and the new state (node 1) give the
         # difference to embedded methods of orders 5 and 3: they vanish on

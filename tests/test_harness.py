@@ -4,6 +4,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -609,6 +611,13 @@ class TestCli:
         assert error(["table1", "--rows", "a=0.5 sigma=1 lo=3 hi=4 n0=100"]) \
             == ("gclm: error: row 0 invalid: n0 must be a power of two >= 8, "
                 "got 100\n")
+        # a table1 row whose bracket or tolerance is invalid
+        assert error(["table1", "--rows", "a=0.5 sigma=1 lo=4 hi=3"]) == (
+            "gclm: error: row 0 invalid: sweep.bracket_lo/bracket_hi must "
+            "be finite numbers with 0 < lo < hi\n")
+        assert error(["table1", "--rows", "a=0.5 sigma=1 lo=3 hi=4 tol=-1"]) \
+            == ("gclm: error: row 0 invalid: sweep.tol must be a positive "
+                "finite number\n")
 
     def test_parse_row(self):
         row = cli._parse_row("a=0.5 sigma=1 nu=1 lo=3 hi=4 tol=0.1")
@@ -620,3 +629,42 @@ class TestCli:
             cli._parse_row("a=0.5 sigma")
         with pytest.raises(ValueError, match="missing lo="):
             cli._parse_row("a=0.5 sigma=1 hi=4")
+
+
+class TestImportBudget:
+    """The scipy a process loads, checked in a fresh interpreter so that
+    the suite's own imports cannot hide a module-level import: each scipy
+    subpackage costs about 0.5 s and 50 MB to load."""
+
+    def scipy_loaded(self, code, tmp_path):
+        env = {**os.environ, "PYTHONPATH": str(Path(gclm.__file__).parents[1]),
+               "GCLM_OUTPUT_ROOT": str(tmp_path), "OPENBLAS_NUM_THREADS": "1"}
+        code += ("\nimport sys\nprint(*(m for m in sys.modules "
+                 "if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        return set(proc.stdout.split())
+
+    def test_simulate_loads_no_scipy(self, tmp_path):
+        # criterion 05's small data: pure time stepping
+        assert self.scipy_loaded(
+            "from gclm import GclmParams, RunControls, simulate\n"
+            "from gclm.harness import two_mode_field\n"
+            "simulate(two_mode_field(0.1, 64), GclmParams(a=0.5, sigma=1.0,"
+            " nu=1.0), RunControls(t_end=1.0, n0=64))", tmp_path) == set()
+
+    def test_collapse_run_loads_neither_stats_nor_integrate(self, tmp_path):
+        # the bench circle config: it collapses, so AAA and the collapse
+        # fit run (scipy.interpolate, scipy.optimize); the stepper and the
+        # doublet pre-check need neither scipy.stats nor scipy.integrate
+        text = ("[run]\nmode = simulate\ndomain = circle\noutput_dir = c\n"
+                "[params]\na = 0.5\nsigma = 1.0\nnu = 1.0\n"
+                "[initial]\nkind = two_mode\namplitude = 4.0\n"
+                "[controls]\nt_end = 1.4\nn0 = 64\nn_max = 512\n")
+        loaded = self.scipy_loaded(
+            f"import json\nfrom gclm import harness\n"
+            f"arts = harness.run(harness.parse_config({text!r}))\n"
+            f"assert json.load(open(arts['fit']))['collapse']", tmp_path)
+        assert {"scipy.interpolate", "scipy.optimize"} <= loaded
+        assert not loaded & {"scipy.stats", "scipy.integrate"}

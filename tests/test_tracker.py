@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import AAA
 
 from gclm import exact
 from gclm.spectral import Domain, SpectralField
 from gclm.tracker import (
+    AAA_CLEAN_UP_TOL,
+    AAA_TOL,
     SpectrumTooCleanError,
     aaa_approximate,
     delta_to_x,
@@ -146,6 +149,40 @@ class TestRationalApprox:
             sums.append(0.5 * np.sum(lower))
         assert sums[0] == pytest.approx(-3j, abs=1e-4)
         assert abs(sums[1] - sums[0]) < 1e-4 * abs(sums[0])
+
+
+class TestDoubletCleanUp:
+    """aaa_approximate runs scipy's clean-up only when scipy's own doublet
+    test finds a doublet; either way the fit is scipy's cleaned one."""
+
+    x = np.linspace(-1.0, 1.0, 256)
+
+    def scipys_fit(self, y):
+        return AAA(self.x, y, rtol=AAA_TOL, max_terms=60, clean_up=True,
+                   clean_up_tol=AAA_CLEAN_UP_TOL)
+
+    @staticmethod
+    def assert_same(fit, ref):
+        assert np.array_equal(fit.support_points, ref.support_points)
+        assert np.array_equal(fit.poles, ref.poles())
+        assert np.array_equal(fit.residues, ref.residues())
+
+    def test_clean_input_matches_scipy(self):
+        y = np.tanh(20.0 * self.x)
+        self.assert_same(aaa_approximate(self.x, y, max_degree=60),
+                         self.scipys_fit(y))
+
+    # noise at the tolerance: the fit runs to its cap, fitting the noise
+    @pytest.mark.filterwarnings("ignore:AAA failed to converge")
+    def test_noisy_input_removes_scipys_doublet(self):
+        noise = np.random.default_rng(4).standard_normal(self.x.size)
+        y = np.tanh(20.0 * self.x) + 1e-12 * noise
+        with pytest.warns(RuntimeWarning, match="1 Froissart doublets"):
+            fit = aaa_approximate(self.x, y, max_degree=60)
+        with pytest.warns(RuntimeWarning, match="1 Froissart doublets"):
+            ref = self.scipys_fit(y)
+        assert fit.non_converged
+        self.assert_same(fit, ref)
 
 
 class TestSimulationDelta:
