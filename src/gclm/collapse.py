@@ -73,9 +73,11 @@ def _fit_window(series: TimeSeries) -> np.ndarray:
 def fit_collapse(series: TimeSeries) -> CollapseFit:
     """Least-squares (C, t_c, beta) on log max|w|, then alpha from delta_x.
 
-    t_c comes from a nonlinear fit over the final WINDOW_FRACTION of the
-    samples.  The exponents are then refit linearly in log-log over the same
-    window with the quarter of the log(t_c - t) range nearest the
+    t_c comes from a fit over the final WINDOW_FRACTION of the samples,
+    with t_c > t_final and beta >= 0, by variable projection: at fixed t_c
+    the law is linear in (log C, beta), so only log(t_c - t_final) is
+    searched.  The exponents are then refit linearly in log-log over the
+    same window with the quarter of the log(t_c - t) range nearest the
     singularity excluded: there the singularity distance spans only a few
     grid spacings, so the grid maximum and the fitted delta are
     resolution-limited and would bias the slopes.  Raises
@@ -92,31 +94,31 @@ def fit_collapse(series: TimeSeries) -> CollapseFit:
     idx = _fit_window(series)
     t, y = series.t[idx], np.log(amp[idx])
 
-    # seed t_c by linear extrapolation of the last doubling time
+    # variable projection: at fixed t_c = t_final + e^s the law is linear
+    # in (log C, beta); scan s over [1e-12 t_final, 1e6 * the last doubling
+    # time], and scan again across the best point's neighbours until they
+    # are 1e-12 apart
     t_final = series.t[-1]
+    lag = t_final - t
     half = np.nonzero(amp >= 0.5 * amp[-1])[0][0]
-    t_c0 = t_final + max(t_final - series.t[half], 1e-6 * max(t_final, 1.0))
+    doubling = max(t_final - series.t[half], 1e-6 * max(t_final, 1.0))
 
-    def resid(p):
-        log_c, t_c, beta = p
-        return log_c - beta * np.log(np.maximum(t_c - t, 1e-300)) - y
+    def linear_fit(s):
+        """(sum of squares, log C, beta) at each s, beta >= 0."""
+        x = np.log(np.exp(np.asarray(s))[..., None] + lag)
+        dx, dy = x - x.mean(-1, keepdims=True), y - y.mean()
+        beta = np.maximum(-(dx @ dy) / np.sum(dx * dx, -1), 0.0)
+        res = dy + beta[..., None] * dx
+        return np.sum(res * res, -1), y.mean() + beta * x.mean(-1), beta
 
-    def jac(p):
-        _, t_c, beta = p
-        tau = np.maximum(t_c - t, 1e-300)
-        cols = [np.ones_like(tau), -beta / tau, -np.log(tau)]
-        return np.column_stack(cols)
-
-    beta0 = 1.0
-    p0 = [y[-1] + beta0 * np.log(t_c0 - t[-1]), t_c0, beta0]
-    # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
-    from scipy.optimize import least_squares
-    sol = least_squares(resid, p0, jac=jac,
-                        bounds=([-np.inf, t_final * (1 + 1e-12), 0.0],
-                                [np.inf, np.inf, np.inf]),
-                        xtol=2.3e-16, ftol=2.3e-16, gtol=2.3e-16,
-                        max_nfev=2000)
-    log_c, t_c, beta = sol.x
+    lo, hi = np.log(1e-12 * t_final), np.log(1e6 * doubling)
+    while hi - lo > 1e-12:
+        scan = np.linspace(lo, hi, 121)
+        i = int(np.argmin(linear_fit(scan)[0]))
+        lo, hi = scan[max(i - 1, 0)], scan[min(i + 1, scan.size - 1)]
+    best = scan[i]
+    _, log_c, beta = (float(v) for v in linear_fit(best))
+    t_c = t_final + np.exp(best)
 
     # exponents: linear log-log fits away from the resolution-limited tail
     log_tau = np.log(np.maximum(t_c - t, 1e-300))

@@ -519,8 +519,9 @@ def simulate(initial: SpectralField, params: GclmParams,
             f0 = step.f  # rhs's last evaluation: adaptive_dt reads it
             dt_state = adaptive_dt(rhs, controls.cfl, controls.dt_max)
             cap_tail = rel_tail if at_cap else 0.0
+            # rhs.grid[0] is w at the new state, from step.f's evaluation
             due = (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
-                   or np.max(np.abs(trial.values()))
+                   or np.max(np.abs(rhs.grid[0]))
                    > SAMPLE_GROWTH * series.max_abs_omega[-1])
             if due or at_cap:
                 fit, fitted = _decay_fit(trial), trial

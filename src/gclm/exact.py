@@ -18,6 +18,11 @@ the equation each family solves (``params_a``, ``params_sigma`` and the
 state's ``nu``, read by ``gclm_params()``), its domain, ``field(N)`` (the
 state sampled on the collocation grid) and ``advance(t)`` (the state at
 absolute time t, refused at or past the collapse time).
+
+Every trajectory is a closed form, at most inverted by one bisection (the
+double pole); collapse times come from closed forms or from a scan for the
+first zero of a pole distance, finished by bisection or golden-section
+search. numpy is all they need.
 """
 
 from __future__ import annotations
@@ -98,15 +103,50 @@ def _sqrt_at(radicand_of_t, t: float, nsteps: int = 64) -> complex:
     return complex(_continuous_sqrt(radicand_of_t(ts))[-1])
 
 
+def _bisect(f, lo, hi, xtol: float = 0.0, rtol: float = 0.0) -> float:
+    """A point where f changes sign, from f(lo) > 0 >= f(hi): the interval
+    is halved until it is at most xtol + rtol |mid| wide, or until no float
+    lies strictly inside it (lo may exceed hi; neither end is evaluated)."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi) or abs(hi - lo) <= xtol + rtol * abs(mid):
+            return mid
+        if f(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+
+def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
+    """Golden-section search: a minimizer of f on [lo, hi], unimodal there,
+    to an interval of width at most xtol."""
+    a, b = lo, hi
+    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > xtol:
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
 def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
     """First positive root of a scalar function, allowing tangential zeros.
 
     Returns (t, tangent) or None; ``tangent`` is True when f touches zero
     without changing sign.  ``f_vec`` evaluates f on a whole t array at
-    once (the scan); f itself serves the root polish.
+    once (the scan); f itself serves the root polish: bisection of the
+    first sign change to within 1e-14 + 1e-15 t, or a golden-section
+    search of an interior minimum.
     """
-    # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
-    from scipy.optimize import brentq, minimize_scalar
     scale = max(abs(f(0.0)), 1e-12)
     t_hi = t_hint
     while t_hi <= t_cap:
@@ -118,14 +158,13 @@ def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
             lo = ts[i - 1] if i > 0 else 0.0
             if vals[i] == 0.0:
                 return float(ts[i]), False
-            return float(brentq(f, lo, ts[i], xtol=1e-14, rtol=1e-15)), False
+            return float(_bisect(f, lo, ts[i], 1e-14, 1e-15)), False
         # look for a tangential touch at the interior minimum
         i = int(np.argmin(vals))
         if 0 < i < vals.size - 1:
-            res = minimize_scalar(f, bracket=(ts[i - 1], ts[i], ts[i + 1]),
-                                  options={"xtol": 1e-14})
-            if res.fun <= 1e-9 * scale:
-                return float(res.x), True
+            t = _golden_min(f, ts[i - 1], ts[i + 1], 1e-14 * ts[i])
+            if f(t) <= 1e-9 * scale:
+                return float(t), True
         t_hi *= 2.0
     return None
 
@@ -265,11 +304,26 @@ class SchochetState(PoleState):
 _G_INF = np.pi / (4.0 * np.sqrt(2.0))
 
 
-def _g_implicit(om: float) -> float:
+def _g_implicit(om: float, s: float = None) -> float:
     """Antiderivative G with G' = 1/(om^2 sqrt(om - 2)); affine in t along
-    collapsing trajectories of the amplitude ratio."""
-    s = np.sqrt(om - 2.0)
+    collapsing trajectories of the amplitude ratio.  s = sqrt(om - 2) is
+    passed where it is known to more digits than om - 2."""
+    if s is None:
+        s = np.sqrt(om - 2.0)
     return s / (2.0 * om) + np.arctan(s / np.sqrt(2.0)) / (2.0 * np.sqrt(2.0))
+
+
+def _h_implicit(om: float, s: float = None) -> float:
+    """Antiderivative H with H' = 1/(om^2 sqrt(2 - om)) on om < 2, om != 0:
+    the analogue of G below the equilibrium ratio, s = sqrt(2 - om) as in
+    G.  log|(sqrt 2 + s)/(sqrt 2 - s)| is written log|1 + x| with
+    x = 2 s (sqrt 2 + s)/om, which keeps its relative precision both near
+    the equilibrium (x small) and near om = 0 (|x| large)."""
+    if s is None:
+        s = np.sqrt(2.0 - om)
+    x = 2.0 * s * (np.sqrt(2.0) + s) / om
+    log_ratio = np.log1p(x) if om > 0 else np.log(-1.0 - x)
+    return -s / (2.0 * om) - log_ratio / (4.0 * np.sqrt(2.0))
 
 
 @dataclass
@@ -299,23 +353,47 @@ class DoublePoleState(PoleState):
         return self.omega_m2_0 / self.v_c0
 
     def _at(self, t: float) -> "DoublePoleState":
-        if self.omega_ratio0 == 2.0 * self.nu:
-            # equilibrium of the amplitude ratio: v_c grows linearly
-            v = self.v_c0 + 0.5 * self.nu * t
-            return dataclasses.replace(self, t=t, v_c=v,
-                                       omega_m2=2.0 * self.nu * v)
-        def rhs(_t, y):
-            v, om = y
-            return [-(om / (4.0 * v) - self.nu), om * om / (4.0 * v * v)]
-        # imported on use: a scipy subpackage costs ~0.5 s and 50 MB to load
-        from scipy.integrate import solve_ivp
-        sol = solve_ivp(rhs, (0.0, t), [self.v_c0, self.omega_m2_0],
-                        method="DOP853", rtol=1e-12, atol=1e-14,
-                        dense_output=False)
-        if not sol.success:
-            raise RuntimeError(f"pole ODE integration failed: {sol.message}")
-        v, om = sol.y[:, -1]
-        return dataclasses.replace(self, t=t, v_c=float(v), omega_m2=float(om))
+        """The pole ODE dv_c/dt = nu - r/4, d omega_m2/dt = r^2/4 with
+        r = omega_m2/v_c, solved in closed form: v_c r / sqrt|r/2 - nu| is
+        conserved, so m = r/nu obeys dm/dt = k m^2 sqrt|m - 2| sgn(m - 2)
+        with k = nu sqrt|m0 - 2| / (2 v_c0 m0), and G(m) (m > 2) or
+        H(m) (m < 2) moves by k t; one bisection inverts it."""
+        r0, nu = self.omega_ratio0, self.nu
+        if nu == 0.0:
+            # inviscid: v_c omega_m2 is conserved and v_c^3 falls linearly
+            c = self.v_c0 * self.omega_m2_0
+            v = float(np.cbrt(self.v_c0**3 - 0.75 * c * t))
+            return dataclasses.replace(self, t=t, v_c=v, omega_m2=c / v)
+        if r0 in (0.0, 2.0 * nu):
+            # fixed points of the amplitude ratio: v_c grows linearly
+            v = self.v_c0 + (nu - 0.25 * r0) * t
+            return dataclasses.replace(self, t=t, v_c=v, omega_m2=r0 * v)
+        m0 = r0 / nu
+        s0 = np.sqrt(abs(m0 - 2.0))
+        kt = nu * s0 / (2.0 * self.v_c0 * m0) * t
+        # bisect a variable that keeps both m and s = sqrt|m - 2| to full
+        # relative precision, near the equilibrium m = 2 and near 0 or
+        # infinity
+        if m0 > 2.0:
+            # m rises to infinity at t_c: bisect 1/s in (0, 1/s0]
+            g = _g_implicit(m0, s0) + kt
+            s = 1.0 / _bisect(lambda u: g - _g_implicit(2.0 + u**-2, 1.0 / u),
+                              1.0 / s0, 0.0)
+            m = 2.0 + s * s
+        elif m0 > 1.0:
+            # m decays towards 0 from near the equilibrium: bisect s
+            h = _h_implicit(m0, s0) - kt
+            s = _bisect(lambda x: _h_implicit(2.0 - x * x, x) - h,
+                        s0, np.sqrt(2.0))
+            m = 2.0 - s * s
+        else:
+            # m decays towards 0 from the side of m0
+            h = _h_implicit(m0) - kt
+            m = _bisect(lambda x: np.sign(m0) * (_h_implicit(x) - h), m0, 0.0)
+            s = np.sqrt(2.0 - m)
+        v = self.v_c0 * m0 / m * s / s0
+        return dataclasses.replace(self, t=t, v_c=float(v),
+                                   omega_m2=float(nu * m * v))
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=complex) - self.x0

@@ -332,7 +332,6 @@ def _write_manifest(path: Path, config: RunConfig, wall: float,
         fh.write("# gclm manifest v1\n")
         fh.write(f"gclm_version = {gclm.__version__}\n")
         fh.write(f"numpy_version = {np.__version__}\n")
-        fh.write(f"scipy_version = {__import__('scipy').__version__}\n")
         fh.write(f"python_version = {sys.version.split()[0]}\n")
         fh.write(f"wall_time_seconds = {wall!r}\n")
         fh.write(f"status = {status}\n")

@@ -86,6 +86,37 @@ class TestFitCollapse:
         with pytest.raises(NoCollapseSignalError):
             fit_collapse(series)
 
+    def test_t_c_matches_least_squares(self):
+        # the benchmark's circle run (criterion 03 capped at N = 512): the
+        # same least-squares problem, bounds and seed given to scipy's
+        # trust-region solver
+        from gclm.dynamics import simulate
+        from scipy.optimize import least_squares
+
+        series, _ = simulate(two_mode_field(4.0, 64),
+                             GclmParams(a=0.5, sigma=1.0, nu=1.0),
+                             RunControls(t_end=1.4, n0=64, n_max=512))
+        idx = collapse_mod._fit_window(series)
+        t, y = series.t[idx], np.log(series.max_abs_omega[idx])
+        amp, t_final = series.max_abs_omega, series.t[-1]
+        half = np.nonzero(amp >= 0.5 * amp[-1])[0][0]
+        t_c0 = t_final + t_final - series.t[half]
+
+        def resid(p):
+            return p[0] - p[2] * np.log(p[1] - t) - y
+
+        def jac(p):
+            tau = p[1] - t
+            return np.column_stack([np.ones_like(tau), -p[2] / tau,
+                                    -np.log(tau)])
+
+        ref = least_squares(resid, [y[-1] + np.log(t_c0 - t[-1]), t_c0, 1.0],
+                            jac=jac, bounds=([-np.inf, t_final * (1 + 1e-12),
+                                              0.0], np.inf),
+                            xtol=2.3e-16, ftol=2.3e-16, gtol=2.3e-16,
+                            max_nfev=2000)
+        assert fit_collapse(series).t_c == pytest.approx(ref.x[1], rel=1e-12)
+
     def test_fitted_rates_for_degenerate_two_pair_family(self):
         # K = -2 tangency: amplitude ~ tau^-2 and distance ~ tau^2
         from gclm import exact

@@ -21,6 +21,7 @@ from gclm.dynamics import (
     RK8_C,
     RK8_E3,
     RK8_E5,
+    SAMPLE_GRID,
     SAMPLE_GROWTH,
     Rhs,
     RunControls,
@@ -746,6 +747,20 @@ class TestSimulate:
         assert series.terminal_status is TerminalStatus.COLLAPSE_DETECTED
         amp = series.max_abs_omega[_fit_window(series)]
         assert np.all(amp[1:] / amp[:-1] < SAMPLE_GROWTH * max(growth))
+
+    def test_off_grid_samples_grew_by_the_factor(self):
+        # a sample off the time grid is due to growth alone: its max|w|
+        # exceeds SAMPLE_GROWTH times the last sample's (the final row,
+        # the end state, may be neither)
+        st = exact.PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)
+        controls = RunControls(t_end=1.2 * st.classify().t_c, n0=128,
+                               n_max=2048)
+        series, _ = simulate(st.field(128), st.gclm_params(), controls)
+        t, amp = series.t[:-1], series.max_abs_omega[:-1]
+        sample_dt = controls.t_end / SAMPLE_GRID
+        off_grid = t[1:] < sample_dt * (t[:-1] // sample_dt + 1.0)
+        assert np.count_nonzero(off_grid) >= 3
+        assert np.all(amp[1:][off_grid] > SAMPLE_GROWTH * amp[:-1][off_grid])
 
     def test_rejected_step_is_retried_from_the_same_state(self, monkeypatch):
         attempts = recording_step(monkeypatch)

@@ -8,6 +8,7 @@ hand-derived special values (frozen below with their derivations).
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from gclm import exact
 from gclm.exact import (
@@ -151,6 +152,63 @@ class TestDoublePole:
         with pytest.raises(NotCollapsingError):
             DoublePoleState().similarity_profile(np.array([1.0]))
 
+    # collapsing (three), below the equilibrium ratio, negative, inviscid
+    ODE_STATES = [dict(omega_m2_0=4.0), dict(v_c0=2.0, omega_m2_0=6.0, nu=1.3),
+                  dict(v_c0=0.5, omega_m2_0=1.0001), dict(omega_m2_0=1.0),
+                  dict(omega_m2_0=-1.5, nu=0.7),
+                  dict(omega_m2_0=-1.0, nu=0.0)]
+
+    @staticmethod
+    def horizon(st):
+        cl = st.classify()
+        return 0.95 * cl.t_c if cl.kind is Kind.COLLAPSE else 5.0
+
+    @staticmethod
+    def assert_matches_solve_ivp(st, ts, rel=1e-9):
+        # the pole ODE dv/dt = nu - r/4, d omega/dt = r^2/4 (r = omega/v)
+        sol = solve_ivp(lambda _t, y: [st.nu - y[1] / (4.0 * y[0]),
+                                       y[1] ** 2 / (4.0 * y[0] ** 2)],
+                        (0.0, ts[-1]), [st.v_c0, st.omega_m2_0],
+                        method="DOP853", rtol=1e-13, atol=1e-15, t_eval=ts)
+        for t, v, om in zip(ts, *sol.y):
+            adv = st.advance(t)
+            assert adv.v_c == pytest.approx(v, rel=rel)
+            assert adv.omega_m2 == pytest.approx(om, rel=rel)
+
+    @pytest.mark.parametrize("kw", ODE_STATES)
+    def test_closed_form_matches_solve_ivp(self, kw):
+        st = DoublePoleState(**kw)
+        self.assert_matches_solve_ivp(st, np.linspace(0.0, self.horizon(st),
+                                                      12)[1:])
+
+    @pytest.mark.parametrize("om", [2.0 + 1e-10, 2.0 - 1e-10,
+                                    np.nextafter(2.0, 3.0),
+                                    np.nextafter(2.0, 0.0)])
+    def test_near_equilibrium_matches_solve_ivp(self, om):
+        # the ratio stays near the equilibrium 2 nu for times of order 1,
+        # where v_c and omega_m2 hang on sqrt|r/nu - 2|; the ODE is easy
+        # there, and solve_ivp's answer is good to 1e-14
+        self.assert_matches_solve_ivp(DoublePoleState(omega_m2_0=om),
+                                      np.linspace(0.0, 5.0, 11)[1:], 1e-12)
+
+    @pytest.mark.parametrize("kw", ODE_STATES)
+    def test_closed_form_solves_the_ode(self, kw):
+        # central differences of the closed form against the ODE's right
+        # side, and the invariant v r / sqrt|r/2 - nu| (v omega at nu = 0)
+        st = DoublePoleState(**kw)
+        horizon = self.horizon(st)
+        h = 1e-5 * horizon
+        inv = []
+        for t in np.linspace(0.1, 0.9, 5) * horizon:
+            a, b, c = (st.advance(t + d) for d in (-h, 0.0, h))
+            r = b.omega_m2 / b.v_c
+            dv, dom = st.nu - r / 4.0, r * r / 4.0
+            assert (c.v_c - a.v_c) / (2 * h) == pytest.approx(dv, rel=1e-6)
+            assert (c.omega_m2 - a.omega_m2) / (2 * h) == pytest.approx(
+                dom, rel=1e-6)
+            inv.append(b.v_c * r / np.sqrt(abs(r / 2.0 - st.nu)))
+        assert np.ptp(inv) <= 1e-12 * abs(inv[0])
+
 
 class TestOnePairS1:
     def test_steady_solution(self):
@@ -283,6 +341,16 @@ class TestTwoPairS1:
         assert cl.kind is Kind.COLLAPSE
         assert cl.t_c == pytest.approx(0.18, abs=1e-9)
         assert cl.alpha == cl.beta == 1.0
+
+    @pytest.mark.parametrize("om", [-2.1, -2.5 + 0.3j, -4.0])
+    def test_crossing_time_matches_brentq(self, om):
+        st = TwoPairS1State(omega_m1_1_0=om, omega_m1_2_0=-om,
+                            v_c1_0=0.1, v_c2_0=0.9, nu=1.0)
+        cl = st.classify()
+        assert cl.alpha == 1.0
+        ref = brentq(lambda t: min(st.pole_distances(t)), 0.5 * cl.t_c,
+                     1.0001 * cl.t_c, xtol=1e-14, rtol=1e-15)
+        assert abs(cl.t_c - ref) <= 2e-14 + 2e-15 * ref
 
     def test_near_degenerate_is_global(self):
         # om1 = -1.9: the radicand's double root disappears
@@ -456,6 +524,15 @@ class TestPeriodicPole:
         assert rep.linf == pytest.approx(cf["linf"], rel=1e-4)
         assert rep.l2 == pytest.approx(cf["l2"], rel=1e-8)
         assert rep.b0 == pytest.approx(cf["b0"], rel=1e-8)
+
+    @pytest.mark.parametrize("om, v0", [(-3.0 + 0.5j, 1.0 + 0.2j),
+                                        (-1.5 - 0.8j, 0.4 + 0.3j)])
+    def test_complex_data_crossing_time_matches_brentq(self, om, v0):
+        st = PeriodicPoleState(omega_m1_0=om, v_c0=v0, nu=1.0)
+        cl = st.classify()
+        ref = brentq(lambda t: st.v_c(t).real, 0.5 * cl.t_c,
+                     1.0001 * cl.t_c, xtol=1e-14, rtol=1e-15)
+        assert abs(cl.t_c - ref) <= 2e-14 + 2e-15 * ref
 
     def test_similarity_profile_matches_rescaled_field(self):
         st = PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)

@@ -632,7 +632,7 @@ class TestCli:
 
 
 class TestImportBudget:
-    """The scipy a process loads, checked in a fresh interpreter so that
+    """No scipy in a gclm process, checked in a fresh interpreter so that
     the suite's own imports cannot hide a module-level import: each scipy
     subpackage costs about 0.5 s and 50 MB to load."""
 
@@ -654,17 +654,27 @@ class TestImportBudget:
             "simulate(two_mode_field(0.1, 64), GclmParams(a=0.5, sigma=1.0,"
             " nu=1.0), RunControls(t_end=1.0, n0=64))", tmp_path) == set()
 
-    def test_collapse_run_loads_neither_stats_nor_integrate(self, tmp_path):
-        # the bench circle config: it collapses, so AAA and the collapse
-        # fit run (scipy.interpolate, scipy.optimize); the stepper and the
-        # doublet pre-check need neither scipy.stats nor scipy.integrate
+    def test_collapse_run_loads_no_scipy(self, tmp_path):
+        # the bench circle config: it collapses, so the AAA fit and the
+        # collapse fit run too, in numpy
         text = ("[run]\nmode = simulate\ndomain = circle\noutput_dir = c\n"
                 "[params]\na = 0.5\nsigma = 1.0\nnu = 1.0\n"
                 "[initial]\nkind = two_mode\namplitude = 4.0\n"
                 "[controls]\nt_end = 1.4\nn0 = 64\nn_max = 512\n")
-        loaded = self.scipy_loaded(
+        assert self.scipy_loaded(
             f"import json\nfrom gclm import harness\n"
             f"arts = harness.run(harness.parse_config({text!r}))\n"
-            f"assert json.load(open(arts['fit']))['collapse']", tmp_path)
-        assert {"scipy.interpolate", "scipy.optimize"} <= loaded
-        assert not loaded & {"scipy.stats", "scipy.integrate"}
+            f"assert json.load(open(arts['fit']))['collapse']", tmp_path) \
+            == set()
+
+    def test_oracle_set_up_loads_no_scipy(self, tmp_path):
+        # the line oracles' closed forms: the double pole's trajectory and
+        # the root search of the two-pair and periodic classifications
+        assert self.scipy_loaded(
+            "from gclm import exact\n"
+            "st = exact.DoublePoleState(omega_m2_0=4.0)\n"
+            "st.advance(0.25 * st.classify().t_c)\n"
+            "exact.TwoPairS1State(omega_m1_1_0=-2.1, omega_m1_2_0=2.1)"
+            ".classify()\n"
+            "exact.PeriodicPoleState(omega_m1_0=-3+0.5j, v_c0=1+0.2j)"
+            ".classify()", tmp_path) == set()

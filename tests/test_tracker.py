@@ -1,5 +1,7 @@
 """Tests for the spectral decay fit, the delta map, and the rational fit."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from gclm import exact
 from gclm.spectral import Domain, SpectralField
 from gclm.tracker import (
     AAA_CLEAN_UP_TOL,
+    AAA_TAIL_FACTOR,
     AAA_TOL,
     SpectrumTooCleanError,
     aaa_approximate,
@@ -94,6 +97,15 @@ class TestRationalApprox:
         res = fit.residues[np.argmin(np.abs(fit.poles - 1j))]
         assert res == pytest.approx(-0.5j, abs=1e-10)
 
+    def test_wide_loewner_interpolates(self):
+        # 8 support points among 12 samples: from the 7th step on, fewer
+        # samples are free than there are weights, and a null vector of
+        # the Loewner matrix gives a rational through all 12 to round-off
+        x = np.linspace(-1.0, 1.0, 12)
+        fit = aaa_approximate(x, np.exp(x) + np.abs(x), tol=0.0, max_degree=8)
+        assert fit.support_points.size == 8
+        assert fit.max_error < 1e-14
+
     def test_recovers_planted_complex_pole(self):
         # one-pair field with v_c = 0.3 + 0.1i: pole at x = i v_c
         st_ = exact.OnePairS1State(omega_m1_0=-2.0, v_c0=0.3 + 0.1j)
@@ -151,38 +163,138 @@ class TestRationalApprox:
         assert abs(sums[1] - sums[0]) < 1e-4 * abs(sums[0])
 
 
+def fit_and_scipys(x, y, tol=AAA_TOL, max_degree=100, clean_up=True):
+    """The numpy fit, which must warn of nothing, and scipy's AAA on the
+    same data; both choose the same support points."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = aaa_approximate(x, y, tol=tol, max_degree=max_degree)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "AAA failed to converge")
+        warnings.filterwarnings("ignore", ".*Froissart doublets")
+        ref = AAA(x, y, rtol=tol, max_terms=max_degree, clean_up=clean_up,
+                  clean_up_tol=AAA_CLEAN_UP_TOL)
+    assert np.array_equal(fit.support_points, ref.support_points)
+    return fit, ref
+
+
+def assert_near_poles_match(fit, ref, x, count, rtol):
+    """scipy's ``count`` poles nearest the sample points x, and their
+    residues (to 10 rtol), are the numpy fit's. The weights come from
+    another LAPACK, so poles far from the data, which hang on the weights'
+    last digits, may differ more."""
+    poles, residues = ref.poles(), ref.residues()
+    dist = np.min(np.abs(np.subtract.outer(poles, x)), 1)
+    for i in np.argsort(dist)[:count]:
+        j = np.argmin(np.abs(fit.poles - poles[i]))
+        assert abs(fit.poles[j] - poles[i]) <= rtol * abs(poles[i])
+        assert abs(fit.residues[j] - residues[i]) <= 10 * rtol * abs(
+            residues[i])
+
+
+class TestAgainstScipy:
+    """The numpy AAA against scipy.interpolate.AAA with the same rtol and
+    max_terms."""
+
+    def test_tanh_poles_to_round_off(self):
+        # tanh(5x) on 1001 nodes: the poles nearest the data are +-i pi/10
+        x = np.linspace(-1.0, 1.0, 1001)
+        fit, ref = fit_and_scipys(x, np.tanh(5.0 * x))
+        for p in (0.1j * np.pi, -0.1j * np.pi):
+            assert np.min(np.abs(fit.poles - p)) <= 1e-11
+        assert_near_poles_match(fit, ref, x, 2, 1e-13)
+
+    def test_two_pole_pairs(self):
+        st_ = exact.TwoPairS1State(omega_m1_1_0=-2.0, omega_m1_2_0=2.0,
+                                   v_c1_0=0.2, v_c2_0=0.9)
+        x = np.linspace(-8.0, 8.0, 800)
+        fit, ref = fit_and_scipys(x, st_.evaluate(x))
+        assert fit.poles.size == ref.poles().size == 4
+        assert_near_poles_match(fit, ref, x, 4, 1e-13)
+
+    def test_collapse_snapshot(self):
+        # the final snapshot of criterion 03's run capped at N = 512 (the
+        # benchmark's circle config), at the tolerance harness.run uses
+        from gclm.dynamics import RunControls, simulate
+        from gclm.harness import two_mode_field
+        from gclm.spectral import GclmParams
+
+        _, final = simulate(two_mode_field(4.0, 64),
+                            GclmParams(a=0.5, sigma=1.0, nu=1.0),
+                            RunControls(t_end=1.4, n0=64, n_max=512))
+        field = final.field
+        tol = max(AAA_TOL, AAA_TAIL_FACTOR * field.tail_magnitude()
+                  / np.max(np.abs(field.coeffs)))
+        fit, ref = fit_and_scipys(field.grid(), field.values(), tol=tol)
+        assert not fit.non_converged
+        assert_near_poles_match(fit, ref, field.grid(), 4, 1e-10)
+
+
 class TestDoubletCleanUp:
-    """aaa_approximate runs scipy's clean-up only when scipy's own doublet
-    test finds a doublet; either way the fit is scipy's cleaned one."""
+    """Froissart doublets: poles whose |residue| / (distance to the nearest
+    sample) is below AAA_CLEAN_UP_TOL times the geometric mean of |f|."""
 
     x = np.linspace(-1.0, 1.0, 256)
 
-    def scipys_fit(self, y):
-        return AAA(self.x, y, rtol=AAA_TOL, max_terms=60, clean_up=True,
-                   clean_up_tol=AAA_CLEAN_UP_TOL)
-
-    @staticmethod
-    def assert_same(fit, ref):
-        assert np.array_equal(fit.support_points, ref.support_points)
-        assert np.array_equal(fit.poles, ref.poles())
-        assert np.array_equal(fit.residues, ref.residues())
-
     def test_clean_input_matches_scipy(self):
-        y = np.tanh(20.0 * self.x)
-        self.assert_same(aaa_approximate(self.x, y, max_degree=60),
-                         self.scipys_fit(y))
+        # tanh(20x): poles at (2k + 1) i pi/40; the six nearest the data
+        fit, ref = fit_and_scipys(self.x, np.tanh(20.0 * self.x),
+                                  max_degree=60)
+        assert not fit.non_converged
+        assert fit.poles.size == ref.poles().size
+        # the pair +-i pi/40 to round-off; the two pairs beyond it sit
+        # farther from the data, where the weights' last digits show
+        assert_near_poles_match(fit, ref, self.x, 2, 1e-13)
+        assert_near_poles_match(fit, ref, self.x, 6, 1e-8)
 
-    # noise at the tolerance: the fit runs to its cap, fitting the noise
-    @pytest.mark.filterwarnings("ignore:AAA failed to converge")
     def test_noisy_input_removes_scipys_doublet(self):
+        # exp(x) with noise at the tolerance: the fit runs to its cap and
+        # fits the noise with poles just off the data. One of them is a
+        # doublet for both implementations, and both remove the same
+        # support point and solve the weights again on the other 59
+        noise = np.random.default_rng(12).standard_normal(self.x.size)
+        y = np.exp(self.x) + 1e-12 * noise
+        fit, ref = fit_and_scipys(self.x, y, max_degree=60)
+        assert fit.non_converged
+        assert fit.support_points.size == 59
+        # every pole within 1 of the data, to round-off; a residue moves f
+        # by residue/distance there, so it is fixed only to that scale
+        poles, residues = ref.poles(), ref.residues()
+        dist = np.min(np.abs(np.subtract.outer(poles, self.x)), 1)
+        assert np.count_nonzero(dist < 1.0) > 50
+        for i in np.flatnonzero(dist < 1.0):
+            j = np.argmin(np.abs(fit.poles - poles[i]))
+            assert abs(fit.poles[j] - poles[i]) <= 1e-13 * abs(poles[i])
+            assert abs(fit.residues[j] - residues[i]) <= 1e-11 * np.max(
+                np.abs(y)) * dist[i]
+
+    def test_noisy_input_keeps_scipys_support_points(self):
+        # noise at the tolerance: the fit runs to its cap and fits the
+        # noise. scipy's clean-up drops one support point here, for a pole
+        # near -0.0973 whose residue its eigensolver puts at -8.1e-18; the
+        # residue of that rational there is -4.1e-16, which is no doublet
         noise = np.random.default_rng(4).standard_normal(self.x.size)
         y = np.tanh(20.0 * self.x) + 1e-12 * noise
-        with pytest.warns(RuntimeWarning, match="1 Froissart doublets"):
-            fit = aaa_approximate(self.x, y, max_degree=60)
-        with pytest.warns(RuntimeWarning, match="1 Froissart doublets"):
-            ref = self.scipys_fit(y)
+        fit, ref = fit_and_scipys(self.x, y, max_degree=60, clean_up=False)
         assert fit.non_converged
-        self.assert_same(fit, ref)
+        assert fit.support_points.size == 60
+        for p in (1j * np.pi / 40, -1j * np.pi / 40):
+            i = np.argmin(np.abs(ref.poles() - p))
+            j = np.argmin(np.abs(fit.poles - p))
+            assert abs(fit.poles[j] - ref.poles()[i]) <= 1e-12 * abs(p)
+
+    def test_round_off_doublets_leave_the_one_pole(self):
+        # 1/(x - 1.5) fitted past round-off: 8 support points where 2 do,
+        # and 6 spurious poles, each a doublet; each takes its nearest
+        # support point with it, and the weights solved again on the rest
+        # give back the one pole, with residue 1
+        y = 1.0 / (self.x - 1.5)
+        fit = aaa_approximate(self.x, y, tol=1e-16, max_degree=8)
+        assert fit.support_points.size == 2
+        assert fit.poles.size == 1
+        assert fit.poles[0] == pytest.approx(1.5, abs=1e-14)
+        assert fit.residues[0] == pytest.approx(1.0, abs=1e-14)
+        assert fit.max_error < 1e-15
 
 
 class TestSimulationDelta:
