@@ -406,10 +406,15 @@ class DoublePoleState(PoleState):
         return np.sqrt(om - 2.0) / (2.0 * self.v_c0 * om)
 
     def collapse_time(self) -> float:
+        if self.nu == 0.0:
+            # inviscid: v_c^3 = v_c0^3 - (3/4) v_c0 omega_m2_0 t reaches 0
+            return 4.0 * self.v_c0**2 / (3.0 * self.omega_m2_0)
         om = self.omega_ratio0 / self.nu
         return float((_G_INF - _g_implicit(om)) / self._scaled_c1() / self.nu)
 
     def v_c_tilde(self) -> float:
+        if self.nu == 0.0:  # the limit nu -> 0 of the viscous constant
+            return float(np.cbrt(0.75 * self.v_c0 * self.omega_m2_0))
         c1 = self._scaled_c1()
         return 0.75 * (1.5 * c1) ** (-2.0 / 3.0) * self.nu ** (1.0 / 3.0)
 

@@ -124,6 +124,25 @@ class Operators:
             out[j] = (4.0 * f1 - f2) / 6.0
         return out
 
+    def times_jacobian(self, f: np.ndarray) -> np.ndarray:
+        """Coefficients of (1 + cos q) times the field with coefficients f.
+
+        On the 2N grid the product is the circulant [1/2, 1, 1/2] over the
+        modes k = -N..N-1: g_k = f_k + (f_{k-1} + f_{k+1}) / 2 for
+        0 < k < N, g_0 = Re f_0 + Re f_1 and g_N = Re f_N + Re f_{N-1}
+        (k = N + 1 aliases to 1 - N). As in :meth:`phys`, the imaginary
+        parts of f_0 and f_N are ignored, so the result equals
+        spec(jac * phys(f)) without either transform.
+        """
+        g = f.copy()
+        g[0] = f[0].real + f[1].real
+        g[-1] = f[-1].real + f[-2].real
+        g[1:-1] += 0.5 * (f[:-2] + f[2:])
+        # take f_0's and f_N's imaginary parts back out of their neighbours
+        g[1] -= 0.5j * f[0].imag
+        g[-2] -= 0.5j * f[-1].imag
+        return g
+
     def line_velocity(self, jac_uq: np.ndarray) -> np.ndarray:
         """Grid values of the line velocity from those of (1 + cos q) u_q.
 

@@ -121,6 +121,20 @@ class TestDoublePole:
         assert adv.v_c == pytest.approx(st.v_c_tilde() * tau ** (1.0 / 3.0),
                                         rel=2e-3)
 
+    def test_inviscid_collapse_time(self):
+        # nu = 0: v_c^3 = v_c0^3 - (3/4) v_c0 omega_m2_0 t reaches 0 at
+        # t_c = 4 v_c0^2 / (3 omega_m2_0) = 2/3 for the default data
+        st = DoublePoleState(nu=0.0)
+        cl = st.classify()
+        assert cl.kind is Kind.COLLAPSE
+        assert cl.t_c == pytest.approx(2.0 / 3.0, rel=1e-15)
+        for tau in (1e-3, 1e-6, 1e-9):
+            adv = st.advance(cl.t_c - tau)
+            assert adv.v_c == pytest.approx(
+                st.v_c_tilde() * tau ** (1.0 / 3.0), rel=1e-6)
+        with pytest.raises(PastCollapseError):
+            st.advance(cl.t_c)
+
     def test_implicit_invariant_is_affine_in_time(self):
         st = DoublePoleState(omega_m2_0=4.0)
         tc = st.classify().t_c

@@ -203,8 +203,12 @@ class TestConfigParsing:
         assert sorted(str(w.message).split()[0] for w in caught) == [
             "controls.collapse_delta_factor", "controls.tail_tol",
             "controls.tail_trust"]
-        assert config.controls == parse_config(SIM_CFG).controls
-        assert config_text(config) == config_text(parse_config(SIM_CFG))
+        # the manifest pins cfl = 0.5, which wins over the default
+        pinned = parse_config(SIM_CFG.replace("[controls]\n",
+                                              "[controls]\ncfl = 0.5\n"))
+        assert config.controls.cfl == 0.5 != RunControls().cfl
+        assert config.controls == pinned.controls
+        assert config_text(config) == config_text(pinned)
 
     @pytest.mark.parametrize("key, lines", [
         ("tail_tol", "tail_tol = 1e-10"), ("tail_trust", "tail_trust = 0.01"),

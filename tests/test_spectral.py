@@ -298,6 +298,20 @@ class TestLineOperators:
         f = sampled(lambda q: np.cos(2 * q), 64, Domain.LINE)
         assert np.max(np.abs(line_constant(f))) < 1e-14
 
+    @pytest.mark.parametrize("n", [8, 256])
+    def test_times_jacobian_matches_the_grid_product(self, n):
+        # the circulant [1/2, 1, 1/2] on the coefficients against the
+        # product on the grid; f_0 and f_N carry imaginary parts, which
+        # have no grid values and must be ignored
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        f_in = f.copy()
+        ops = operators(n, Domain.LINE)
+        ref = ops.spec(ops.jac * ops.phys(f))
+        got = ops.times_jacobian(f)
+        assert np.array_equal(f, f_in)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     def test_line_velocity_boundary_condition(self):
         f = random_real_field(11, domain=Domain.LINE)
         (vals,) = f.ops.fields(f.coeffs, ("u",))
