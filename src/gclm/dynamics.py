@@ -1,21 +1,22 @@
 """Time integration of the dissipative gCLM equation.
 
 Pseudo-spectral right-hand sides on the circle and on the compactified real
-line (x = tan(q/2)), the 12-stage order-8 DOP853 Runge-Kutta stepper
-(explicit, or Lawson on the circle's diagonal dissipation) with its
-embedded error estimate, and an adaptive driver. Each step is the smallest
-of cfl (default 1: the whole interval) times the tableau's stability limit
-(intervals 5.96 imaginary, 6.39 negative real) and the stretching limit
-1 / max|u_x|, a Lawson stage-growth cap set by round-off, and the step
-DOP853's own error estimate asks for; a step whose estimate exceeds the
-tolerance is rejected and retried shorter. The number of modes doubles
-whenever the spectral tail rises above round-off.
+line (x = tan(q/2)), the 12-stage order-8 DOP853 Runge-Kutta stepper with its
+embedded error estimate, and adaptive runs (simulate). One stage loop takes
+explicit steps and Lawson ones, exact on the circle's diagonal dissipation,
+whose stages write E(c_i)^-1 times the nonlinear term alone into their rows
+of the stage array. A step is the smallest of cfl (default 1: the whole
+interval) times the tableau's stability limit (intervals 5.96 imaginary, 6.39
+negative real) and the stretching limit 1 / max|u_x|, a Lawson stage-growth
+cap set by round-off, and the step DOP853's error estimate asks for; a step
+whose estimate exceeds the tolerance is retried shorter. The number of modes
+doubles whenever the spectral tail rises above round-off.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,7 +103,7 @@ RK8_E5 = _frozen([
     0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044,
     -0.4957589496572502, 1.6643771824549864, -0.35032884874997366,
     0.3341791187130175, 0.08192320648511571, -0.022355307863886294, 0.0])
-_RK8_E = _frozen(np.vstack((RK8_E5, RK8_E3))[:, :RK8_B.size])
+_RK8_W = _frozen(np.vstack((RK8_B, RK8_E5[:-1], RK8_E3[:-1])))
 
 #: largest c_j - c_i over the nonzero a_ij (1/12): the nodes are not
 #: monotone, so a Lawson stage multiplies mode k by up to
@@ -123,14 +124,16 @@ class Rhs:
     """Evaluates d(w_hat)/dt for a fixed domain, parameter set and N.
 
     The fields come from one stacked inverse transform and the result from
-    one forward transform of the nonlinear term. The line's dissipation
-    acts on the coefficients (:meth:`Operators.times_jacobian`), so a call
-    takes 2 transforms, and 4 on the line with a != 0, whose velocity
-    takes 2 more. ``diss`` records the dissipation treatment: the diagonal
-    symbol nu |k|^sigma, applied exactly by Lawson steps, on the circle
-    with nu != 0; None elsewhere, where any dissipation is explicit.
-    ``grid`` keeps the grid fields (``names``, in order) of the state last
-    evaluated, which :func:`adaptive_dt` reads.
+    one forward transform of the nonlinear term, both into work arrays
+    kept between calls. The line's dissipation acts on the coefficients
+    (:meth:`Operators.times_jacobian`), so a call takes 2 transforms, and 4
+    on the line with a != 0, whose velocity takes 2 more. ``diss`` records
+    the dissipation treatment: the diagonal symbol nu |k|^sigma, applied
+    exactly by Lawson steps, on the circle with nu != 0; None elsewhere,
+    where any dissipation is explicit. ``grid`` keeps the grid fields
+    (``names``, in order) of the state last evaluated, which
+    :func:`adaptive_dt` reads. A :func:`rk8_step` stage passes its row
+    ``out``; a Lawson one also ``scale`` = E(c_i)^-1: scale (rhs + diss c).
     """
 
     def __init__(self, domain: Domain, params: GclmParams, grid_size: int):
@@ -145,16 +148,19 @@ class Rhs:
                      if domain is Domain.CIRCLE and params.nu != 0.0
                      else None)
         self.grid: np.ndarray | None = None
+        m = self.ops.grid.size
+        self._work = np.empty((len(self.names), m)), np.empty(m), np.empty(m)
 
-    def __call__(self, c: np.ndarray) -> np.ndarray:
+    def __call__(self, c: np.ndarray, out: np.ndarray | None = None,
+                 scale: np.ndarray | None = None) -> np.ndarray:
         p, ops = self.params, self.ops
-        self.grid = ops.fields(c, self.names)
-        w, ux, *adv = self.grid
-        nl = (w + p.omega_av) * ux
-        if adv:
-            u, wx = adv
-            nl = nl - p.a * u * wx
-        out = ops.spec(nl)
+        grid, nl, tmp = self._work
+        w, ux, *adv = self.grid = ops.fields(c, self.names, out=grid)
+        np.multiply(w + p.omega_av if p.omega_av else w, ux, out=nl)
+        if adv:  # u, w_x
+            nl -= np.multiply(p.a * adv[0], adv[1], out=tmp)
+        res = np.fft.rfft(nl, out=out)
+        res *= ops.spec_phase
         if ops.domain is Domain.LINE:
             if p.nu != 0.0:
                 # sigma rounds of (1 + cos q) d_q H^q (d_q H^q has the
@@ -162,10 +168,14 @@ class Rhs:
                 d = c
                 for _ in range(int(round(p.sigma))):
                     d = ops.times_jacobian(ops.kabs * d)
-                out -= p.nu * d
-            return out
-        out[0] = 0.0  # exact mean conservation
-        return out if self.diss is None else out - self.diss * c
+                res -= p.nu * d
+        else:
+            res[0] = 0.0  # exact mean conservation
+        if scale is not None:
+            res *= scale
+        elif self.diss is not None:
+            res -= self.diss * c
+        return res
 
 
 class Step(NamedTuple):
@@ -176,16 +186,6 @@ class Step(NamedTuple):
     error: float  # DOP853's error estimate for a unit scale
 
 
-def _error_norm(e5: np.ndarray, e3: np.ndarray) -> float:
-    """scipy's DOP853 error norm, over dt, of the weighted stage sums e5
-    and e3 for a unit scale; with the uniform scale s it is dt * this / s.
-    It vanishes with e5 (tested first: 0.01 n3 may underflow)."""
-    n5, n3 = np.vdot(e5, e5).real, np.vdot(e3, e3).real
-    if n5 == 0.0:
-        return 0.0
-    return float(n5 / np.sqrt((n5 + 0.01 * n3) * e5.size))
-
-
 def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
              lin: np.ndarray | None = None,
              f0: np.ndarray | None = None) -> Step:
@@ -193,43 +193,47 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
     estimate.
 
     ``f0`` is rhs(c) when known (the previous step's ``Step.f``); else it
-    is evaluated. The step then takes 12 evaluations: 11 stages and the new
-    state, whose slope is returned as the next step's first stage.
+    is evaluated. The step then takes 12 evaluations: 11 stages, each into
+    its row of the stage array K, and the new state, whose slope is the
+    next step's first stage. Sums over K are real weights times its float
+    view; one product with the rows b, e5, e3 gives the new state and error.
 
-    ``lin=None`` gives the explicit step. A diagonal symbol ``lin = L``,
-    whose -L c is part of ``rhs``, gives the Lawson (integrating-factor)
-    step of the same tableau: it integrates v = e^{tL} c, so L is applied
-    exactly and imposes no stability limit. With E(s) = exp(-s dt L), stage
-    i is Y_i = E(c_i) (c + dt sum_j a_ij K_j) with
-    K_j = E(c_j)^-1 (rhs(Y_j) + L Y_j), the new state is
-    E(1) (c + dt sum_i b_i K_i), and the error, formed from the K_j in the
-    v frame, is mapped back by E(1) (the last node is 1). Since
-    a_ij != 0 for some c_j > c_i, a stage amplifies mode k by up to
+    ``lin=None`` gives the explicit step. A diagonal symbol ``lin = L``
+    (``Rhs.diss``) gives the Lawson (integrating-factor) step of the same
+    tableau: it integrates v = e^{tL} c, so L is applied exactly and
+    imposes no stability limit. With E(s) = exp(-s dt L), stage i is
+    Y_i = E(c_i) (c + dt sum_j a_ij K_j), K_j = E(c_j)^-1 N(Y_j) with N
+    the right-hand side less -L Y (``rhs``'s result given a ``scale``),
+    the new state is E(1) (c + dt sum_i b_i K_i), and the error, formed
+    from the K_j in the v frame, is mapped back by E(1) (the last node).
+    Since a_ij != 0 for some c_j > c_i, a stage amplifies mode k by up to
     exp(dt L_k / 12); the caller bounds dt (see :func:`adaptive_dt`).
     """
-    if lin is not None:
-        # E(c_i), one row per stage; the exponent is capped where exp
-        # would underflow, so that a zero field stays zero (0/0 otherwise)
-        decay = np.exp(-np.minimum(RK8_C[:, None] * (dt * lin), 700.0))
+    k, y = np.empty((RK8_B.size, c.size), complex), np.empty(c.size, complex)
+    kf, yf = k.view(float), y.view(float)
     a = dt * RK8_A
-    k = np.empty((RK8_B.size, c.size), dtype=complex)
     k[0] = rhs(c) if f0 is None else f0
     if lin is not None:
+        # E(c_i), E(c_i)^-1, complex (faster); capped so that 0 stays 0
+        x = np.minimum(RK8_C[:, None] * (dt * lin), 700.0)
+        decay, growth = np.exp(-x).astype(complex), np.exp(x).astype(complex)
         k[0] += lin * c
     for i in range(1, RK8_B.size):
-        y = c + a[i, :i] @ k[:i]
-        if lin is None:
-            k[i] = rhs(y)
-        else:
-            e = decay[i]
-            y = e * y
-            k[i] = (rhs(y) + lin * y) / e
-    out = c + (dt * RK8_B) @ k
-    err = _RK8_E @ k
+        np.dot(a[i, :i], kf[:i], out=yf)
+        y += c
+        if lin is not None:
+            y *= decay[i]
+        rhs(y, out=k[i], scale=None if lin is None else growth[i])
+    sums = (_RK8_W @ kf).view(complex)  # b, e5, e3 times K
+    out, err = c + dt * sums[0], sums[1:]
     if lin is not None:
         out *= decay[-1]
         err *= decay[-1]
-    return Step(out, rhs(out), dt * _error_norm(*err))
+    # scipy's DOP853 error norm at unit scale (the scale s divides it);
+    # zero with e5, which is tested first: 0.01 n3 may underflow
+    n5, n3 = (np.vdot(e, e).real for e in err)
+    error = float(dt * n5 / np.sqrt((n5 + 0.01 * n3) * c.size)) if n5 else 0.0
+    return Step(out, rhs(out), error)
 
 
 # ---------------------------------------------------------------------------
@@ -345,23 +349,25 @@ CSV_COLUMNS = ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "b0", "energy",
 class TimeSeries:
     """Sampled diagnostics of one run; column layout matches the CSV files."""
 
-    t: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    max_abs_omega: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    delta_x: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    p_fit: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    l2: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    b0: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    energy: np.ndarray = dc_field(default_factory=lambda: np.empty(0))
-    n_modes: np.ndarray = dc_field(default_factory=lambda: np.empty(0, int))
-    terminal_status: TerminalStatus = TerminalStatus.REACHED_T_END
+    t: np.ndarray
+    max_abs_omega: np.ndarray
+    delta_x: np.ndarray
+    p_fit: np.ndarray
+    l2: np.ndarray
+    b0: np.ndarray
+    energy: np.ndarray
+    n_modes: np.ndarray
+    terminal_status: TerminalStatus
 
     def __len__(self):
         return self.t.size
 
-    def append(self, **row):
-        for name in CSV_COLUMNS:
-            arr = getattr(self, name)
-            setattr(self, name, np.append(arr, row[name]))
+    @classmethod
+    def from_rows(cls, rows: list, status: TerminalStatus) -> "TimeSeries":
+        """The series of the sample rows, mappings keyed by CSV_COLUMNS."""
+        return cls(**{name: np.array([row[name] for row in rows],
+                                     dtype=int if name == "n_modes" else float)
+                      for name in CSV_COLUMNS}, terminal_status=status)
 
     def to_csv(self, fh) -> None:
         with open_stream(fh, "w") as stream:
@@ -389,11 +395,7 @@ class TimeSeries:
                 raise ValueError(f"CSV columns {names} lack {missing}")
             rows = [line.split(",") for line in stream if line.strip()]
         data = np.array(rows, dtype=float).reshape(-1, len(names))
-        out = cls(terminal_status=status)
-        for name in CSV_COLUMNS:
-            col = data[:, names.index(name)]
-            setattr(out, name, col.astype(int) if name == "n_modes" else col)
-        return out
+        return cls.from_rows([dict(zip(names, row)) for row in data], status)
 
 
 def _decay_fit(field: SpectralField) -> tracker.DecayFit | None:
@@ -488,7 +490,6 @@ def simulate(initial: SpectralField, params: GclmParams,
     field = initial.copy()
     if field.grid_size < controls.n0:
         field = field.zero_pad(controls.n0 // field.grid_size)
-    series = TimeSeries()
     state = SimState(field=field, t=0.0)
     sample_dt = controls.sample_dt or controls.t_end / SAMPLE_GRID
     rhs = Rhs(field.domain, params, field.grid_size)
@@ -496,7 +497,7 @@ def simulate(initial: SpectralField, params: GclmParams,
     dt_state = adaptive_dt(rhs, controls.cfl, controls.dt_max)
     dt_err = np.inf  # the error estimate's step; none before the first
     at_cap, cap_tail, fit, fitted = False, 0.0, _decay_fit(field), field
-    series.append(**_sample_row(field, 0.0, fit))
+    rows = [_sample_row(field, 0.0, fit)]  # the samples, built at the end
     stop = _stop(state, controls.t_end, True, dt_state, cap_tail, fit)
     while stop is None:
         dt = min(dt_state, dt_err, controls.t_end - state.t)
@@ -527,17 +528,17 @@ def simulate(initial: SpectralField, params: GclmParams,
             dt_state = adaptive_dt(rhs, controls.cfl, controls.dt_max)
             cap_tail = rel_tail if at_cap else 0.0
             # rhs.grid[0] is w at the new state, from step.f's evaluation
-            due = (state.t >= sample_dt * (series.t[-1] // sample_dt + 1.0)
+            due = (state.t >= sample_dt * (rows[-1]["t"] // sample_dt + 1.0)
                    or np.max(np.abs(rhs.grid[0]))
-                   > SAMPLE_GROWTH * series.max_abs_omega[-1])
+                   > SAMPLE_GROWTH * rows[-1]["max_abs_omega"])
             if due or at_cap:
                 fit, fitted = _decay_fit(trial), trial
             if due:
-                series.append(**_sample_row(trial, state.t, fit))
+                rows.append(_sample_row(trial, state.t, fit))
         stop = _stop(state, controls.t_end, finite, min(dt_state, dt_err),
                      cap_tail, fit if fitted is state.field else None)
     state.fit = fit if fitted is state.field else _decay_fit(state.field)
-    if state.t > series.t[-1]:
-        series.append(**_sample_row(state.field, state.t, state.fit))
-    series.terminal_status, state.stop_reason = stop
-    return series, state
+    if state.t > rows[-1]["t"]:
+        rows.append(_sample_row(state.field, state.t, state.fit))
+    state.stop_reason = stop[1]
+    return TimeSeries.from_rows(rows, stop[0]), state

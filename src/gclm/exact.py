@@ -428,8 +428,10 @@ class DoublePoleState(PoleState):
                                        alpha=1.0 / 3.0)
 
     def implicit_invariant(self) -> float:
-        """G(omega_m2 / (nu v_c)) at the state's time; affine in nu*t."""
-        return _g_implicit(self.omega_m2 / (self.nu * self.v_c))
+        """G(omega_m2 / (nu v_c)) at the state's time, affine in nu*t; at
+        nu = 0 the inviscid invariant v_c omega_m2, constant in t."""
+        return (self.v_c * self.omega_m2 if self.nu == 0.0
+                else _g_implicit(self.omega_m2 / (self.nu * self.v_c)))
 
     def similarity_profile(self, xi):
         self._collapse("amplitude ratio <= 2 nu")

@@ -174,16 +174,17 @@ def parse_config(source) -> RunConfig:
     except (KeyError, ValueError) as e:
         raise ConfigError(f"[run] section invalid: {e}") from e
 
-    pvals = {k: _parse_scalar(v) for k, v in cp.items("params")} \
-        if cp.has_section("params") else {}
+    def section(name: str) -> dict:
+        return ({k: _parse_scalar(v) for k, v in cp.items(name)}
+                if cp.has_section(name) else {})
+    pvals = section("params")
     try:
         params = GclmParams(**{k: float(pvals[k]) for k in pvals})
         params.validate(domain)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"[params] section invalid: {e}") from e
 
-    cvals = {k: _parse_scalar(v) for k, v in cp.items("controls")} \
-        if cp.has_section("controls") else {}
+    cvals = section("controls")
     if cvals.pop("sample_every", None) is not None:  # older configs
         warnings.warn("controls.sample_every is retired: samples follow a "
                       "time grid and max|w| growth", DeprecationWarning, 2)
@@ -201,8 +202,7 @@ def parse_config(source) -> RunConfig:
     except (TypeError, ValueError) as e:
         raise ConfigError(f"[controls] section invalid: {e}") from e
 
-    initial = {k: _parse_scalar(v) for k, v in cp.items("initial")} \
-        if cp.has_section("initial") else {}
+    initial = section("initial")
     kind = initial.get("kind", "two_mode")
     if kind not in ("two_mode", "pole_family", "file"):
         raise ConfigError(f"initial.kind invalid: {kind!r}")
@@ -213,8 +213,7 @@ def parse_config(source) -> RunConfig:
     if kind == "file" and "path" not in initial:
         raise ConfigError("initial.path required for file data")
 
-    sweep = {k: _parse_scalar(v) for k, v in cp.items("sweep")} \
-        if cp.has_section("sweep") else {}
+    sweep = section("sweep")
     if mode is Mode.CRITICAL_SWEEP:
         check_sweep(sweep)
     return RunConfig(mode=mode, domain=domain, params=params,
@@ -229,23 +228,15 @@ def write_config(config: RunConfig, fh) -> None:
         w(f"mode = {config.mode.value}\n")
         w(f"domain = {config.domain.value}\n")
         w(f"output_dir = {config.output_dir}\n")
-        w("\n[params]\n")
-        for f in dataclasses.fields(config.params):
-            w(f"{f.name} = {_fmt(getattr(config.params, f.name))}\n")
-        w("\n[controls]\n")
-        for f in dataclasses.fields(config.controls):
-            v = getattr(config.controls, f.name)
-            if v is None:
-                continue
-            w(f"{f.name} = {_fmt(v)}\n")
-        if config.initial:
-            w("\n[initial]\n")
-            for k, v in config.initial.items():
-                w(f"{k} = {_fmt(v)}\n")
-        if config.sweep:
-            w("\n[sweep]\n")
-            for k, v in config.sweep.items():
-                w(f"{k} = {_fmt(v)}\n")
+        sections = {"params": dataclasses.asdict(config.params),
+                    "controls": dataclasses.asdict(config.controls),
+                    "initial": config.initial, "sweep": config.sweep}
+        for name, values in sections.items():
+            if values:
+                w(f"\n[{name}]\n")
+                for k, v in values.items():
+                    if v is not None:  # an unset control keeps its default
+                        w(f"{k} = {_fmt(v)}\n")
 
 
 def config_text(config: RunConfig) -> str:
@@ -379,6 +370,9 @@ def run(config: RunConfig) -> dict:
         artifacts[name] = str(out / fname)
         return out / fname
 
+    def snapshot(name, field, t):
+        write_snapshot(field, t, str(emit(name, name + ".txt")))
+
     status, stop_reason = "ok", None
     if config.mode is Mode.EXACT_ONLY:
         state = _family_state(config)
@@ -387,17 +381,15 @@ def run(config: RunConfig) -> dict:
             "family": config.initial["family"],
             "classification": dataclasses.asdict(cl),
         })
-        write_snapshot(_resolved_field(state, config.controls), 0.0,
-                       str(emit("snapshot_initial", "snapshot_initial.txt")))
+        snapshot("snapshot_initial", _resolved_field(state, config.controls),
+                 0.0)
         status = cl.kind.value
     elif config.mode is Mode.SIMULATE:
         field0 = _initial_field(config)
-        write_snapshot(field0, 0.0,
-                       str(emit("snapshot_initial", "snapshot_initial.txt")))
+        snapshot("snapshot_initial", field0, 0.0)
         series, final = simulate(field0, config.params, config.controls)
         series.to_csv(str(emit("series", "series.csv")))
-        write_snapshot(final.field, final.t,
-                       str(emit("snapshot_final", "snapshot_final.txt")))
+        snapshot("snapshot_final", final.field, final.t)
         stop_reason = final.stop_reason
         fit_payload = {"terminal_status": series.terminal_status.value,
                        "stop_reason": stop_reason, "t_final": final.t,
@@ -428,8 +420,7 @@ def run(config: RunConfig) -> dict:
                     f"params.{name} = {got!r}, but family "
                     f"{config.initial['family']} solves {name} = {want!r}")
         field = _resolved_field(state, config.controls)
-        write_snapshot(field, 0.0,
-                       str(emit("snapshot_initial", "snapshot_initial.txt")))
+        snapshot("snapshot_initial", field, 0.0)
         n_seg = 20
         seg = config.controls.t_end / n_seg
         rows = []
@@ -457,8 +448,7 @@ def run(config: RunConfig) -> dict:
             "max_rel_error": max((e for _, e in rows), default=np.nan),
             "n_comparisons": len(rows),
         })
-        write_snapshot(field, t,
-                       str(emit("snapshot_final", "snapshot_final.txt")))
+        snapshot("snapshot_final", field, t)
     elif config.mode is Mode.CRITICAL_SWEEP:
         sweep = config.sweep
         result = collapse_mod.critical_amplitude(

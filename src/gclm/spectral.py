@@ -69,9 +69,10 @@ class Operators:
         #: k = 0 and k = N, 2 elsewhere (w_{-k} = conj(w_k))
         self.mult = np.full(grid_size + 1, 2.0)
         self.mult[[0, -1]] = 1.0
-        # The grid starts at -pi, so physical<->spectral transforms carry the
-        # phase factor e^{-ik pi} = (-1)^k relative to a plain FFT.
-        self.phase = np.where(self.k % 2 == 0, 1.0, -1.0)
+        # The grid starts at -pi, so transforms carry the phase factor
+        # e^{-ik pi} = (-1)^k relative to a plain FFT (complex: faster)
+        self.phase = np.where(self.k % 2 == 0, 1.0 + 0j, -1.0)
+        self.spec_phase = self.phase / m
         #: Hilbert transform -i sgn(k); the mean is annihilated
         self.hilbert = -1j * np.sign(self.k)
         #: zero-mean circle velocity u_k = H(w)_k / (ik) = -w_k / |k|
@@ -108,8 +109,9 @@ class Operators:
         return np.fft.irfft(c * self.phase, self.grid.size, norm="forward")
 
     def spec(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients k = 0..N of the grid values v."""
-        return np.fft.rfft(v, norm="forward") * self.phase
+        """Coefficients k = 0..N of the grid values v: numpy's rfft times
+        phase / 2N (its norm="forward" would cost a division per call)."""
+        return np.fft.rfft(v) * self.spec_phase
 
     def over_jacobian(self, v: np.ndarray) -> np.ndarray:
         """v / (1 + cos q) on the line grid, with the singular node at
@@ -155,9 +157,11 @@ class Operators:
                                 where=self.k != 0))
         return u - u[0]  # grid node 0 is q = -pi
 
-    def fields(self, c: np.ndarray, names: tuple = FIELDS) -> np.ndarray:
+    def fields(self, c: np.ndarray, names: tuple = FIELDS,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Grid values of the fields named (from FIELDS: w, u_x = H w, u,
-        w_x) for the coefficients c, in order; only those are computed.
+        w_x) for the coefficients c, in order; only those are computed,
+        into ``out`` when given.
 
         One stacked inverse transform on both domains. On the line
         (x = tan(q/2)) its rows are then finished on the grid:
@@ -170,7 +174,7 @@ class Operators:
         if rows is None:  # once per selection: it is a per-stage cost
             rows = self.stack[[FIELDS.index(name) for name in names]]
             self._rows[names] = rows
-        out = np.fft.irfft(rows * c, self.grid.size, norm="forward")
+        out = np.fft.irfft(rows * c, self.grid.size, norm="forward", out=out)
         if self.domain is Domain.LINE:
             for v, name in zip(out, names):
                 if name in ("ux", "u"):

@@ -122,10 +122,12 @@ class RationalApprox:
     residues: np.ndarray
     max_error: float
     non_converged: bool
+    interval: tuple[float, float]  # span of the sample points' real parts
 
     def poles_near_axis(self) -> np.ndarray:
-        """Poles sorted by distance |Im p| to the real axis."""
-        return self.poles[np.argsort(np.abs(self.poles.imag))]
+        """Poles sorted by distance to the sampled interval of the axis."""
+        nearest = np.clip(self.poles.real, *self.interval)
+        return self.poles[np.argsort(np.abs(self.poles - nearest))]
 
 
 def _weights(loewner: np.ndarray, ill: bool) -> tuple[np.ndarray, bool]:
@@ -240,4 +242,5 @@ def aaa_approximate(points: np.ndarray, values: np.ndarray,
         support_points=zj, poles=poles,
         residues=_residues(poles, zj, fj, wj), max_error=err,
         non_converged=bool(err > atol),
+        interval=(float(np.min(z.real)), float(np.max(z.real))),
     )

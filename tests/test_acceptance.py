@@ -34,16 +34,15 @@ def exact_family_series(state, tau_min, n=90):
     collapse point; delta_x is the exact pole distance Re v_c1.
     """
     cl = state.classify()
-    ts = TimeSeries()
+    rows = []
     for t in cl.t_c - np.geomspace(0.9 * cl.t_c, tau_min, n):
         adv = state.advance(t)
         v1 = adv.values_at(t)[2]
         x = cl.x_c + np.linspace(-10, 10, 4001) * max(v1.real, 1e-6)
         amp = np.max(np.abs(adv.evaluate(x)))
-        ts.append(t=t, max_abs_omega=amp, delta_x=v1.real, p_fit=0.0,
-                  l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
-    ts.terminal_status = TerminalStatus.COLLAPSE_DETECTED
-    return ts, cl
+        rows.append(dict(t=t, max_abs_omega=amp, delta_x=v1.real, p_fit=0.0,
+                         l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20))
+    return TimeSeries.from_rows(rows, TerminalStatus.COLLAPSE_DETECTED), cl
 
 
 def test_criterion_01_pde_matches_pole_dynamics_oracle():

@@ -22,24 +22,23 @@ from gclm.spectral import GclmParams
 def power_law_series(t_c=1.5, beta=1.0, alpha=1.0, amp=2.0, dx0=0.3,
                      n=120, tau_min=1e-7, status=TerminalStatus.COLLAPSE_DETECTED):
     """Synthetic diagnostics with exact power-law collapse rates."""
-    ts = TimeSeries()
+    rows = []
     for t in t_c - np.geomspace(0.95 * t_c, tau_min, n):
         tau = t_c - t
-        ts.append(t=t, max_abs_omega=amp * tau**-beta, delta_x=dx0 * tau**alpha,
-                  p_fit=0.0, l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
-    ts.terminal_status = status
-    return ts
+        rows.append(dict(t=t, max_abs_omega=amp * tau**-beta,
+                         delta_x=dx0 * tau**alpha, p_fit=0.0, l2=1.0, b0=1.0,
+                         energy=1.0, n_modes=1 << 20))
+    return TimeSeries.from_rows(rows, status)
 
 
 def flat_series(amp=1.0, n=40, status=TerminalStatus.REACHED_T_END,
                 decreasing=False):
-    ts = TimeSeries()
+    rows = []
     for i, t in enumerate(np.linspace(0.0, 10.0, n)):
         a = amp * (0.9 ** i if decreasing else 1.0)
-        ts.append(t=t, max_abs_omega=a, delta_x=np.nan, p_fit=np.nan,
-                  l2=a, b0=a, energy=a * a, n_modes=128)
-    ts.terminal_status = status
-    return ts
+        rows.append(dict(t=t, max_abs_omega=a, delta_x=np.nan, p_fit=np.nan,
+                         l2=a, b0=a, energy=a * a, n_modes=128))
+    return TimeSeries.from_rows(rows, status)
 
 
 class TestFitCollapse:
@@ -66,12 +65,11 @@ class TestFitCollapse:
 
     def test_decimating_samples_changes_little(self):
         full = power_law_series(n=240)
-        thin = TimeSeries()
-        for i in range(0, 240, 3):
-            thin.append(**{k: getattr(full, k)[i]
-                           for k in ("t", "max_abs_omega", "delta_x", "p_fit",
-                                     "l2", "b0", "energy", "n_modes")})
-        thin.terminal_status = full.terminal_status
+        thin = TimeSeries.from_rows(
+            [{k: getattr(full, k)[i]
+              for k in ("t", "max_abs_omega", "delta_x", "p_fit", "l2", "b0",
+                        "energy", "n_modes")} for i in range(0, 240, 3)],
+            full.terminal_status)
         f_full, f_thin = fit_collapse(full), fit_collapse(thin)
         assert f_thin.t_c == pytest.approx(f_full.t_c, rel=1e-3)
         assert f_thin.beta == pytest.approx(f_full.beta, abs=1e-3)
@@ -124,16 +122,17 @@ class TestFitCollapse:
         st_ = exact.TwoPairS1State(omega_m1_1_0=-2.0, omega_m1_2_0=2.0,
                                    v_c1_0=0.1, v_c2_0=0.9, nu=1.0)
         cl = st_.classify()
-        ts = TimeSeries()
+        rows = []
         for t in cl.t_c - np.geomspace(0.9 * cl.t_c, 1e-4, 90):
             adv = st_.advance(t)
             v1 = adv.values_at(t)[2]
             x = cl.x_c + np.linspace(-10, 10, 4001) * max(v1.real, 1e-6)
             amp = np.max(np.abs(adv.evaluate(x)))
-            ts.append(t=t, max_abs_omega=amp, delta_x=v1.real, p_fit=0.0,
-                      l2=1.0, b0=1.0, energy=1.0, n_modes=1 << 20)
-        ts.terminal_status = TerminalStatus.COLLAPSE_DETECTED
-        fit = fit_collapse(ts)
+            rows.append(dict(t=t, max_abs_omega=amp, delta_x=v1.real,
+                             p_fit=0.0, l2=1.0, b0=1.0, energy=1.0,
+                             n_modes=1 << 20))
+        fit = fit_collapse(TimeSeries.from_rows(
+            rows, TerminalStatus.COLLAPSE_DETECTED))
         assert fit.t_c == pytest.approx(cl.t_c, abs=1e-3)
         assert fit.beta == pytest.approx(2.0, abs=0.05)
         assert fit.alpha == pytest.approx(2.0, abs=0.05)

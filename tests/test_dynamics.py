@@ -16,6 +16,7 @@ from gclm.collapse import _fit_window
 from gclm.dynamics import (
     _STAB_IMAG,
     _STAB_REAL,
+    CSV_COLUMNS,
     RK8_A,
     RK8_B,
     RK8_C,
@@ -62,6 +63,37 @@ def rhs_matches_family(state, t0, n, tol=1e-6):
     want = fd_time_derivative(state, t0, n)
     scale = np.max(np.abs(want))
     return np.max(np.abs(got - want)) / scale < tol
+
+
+class DiagonalRhs:
+    """dc/dt = -L c for a diagonal L, through rk8_step's stage calls: like
+    Rhs with diss = L, a stage given a scale (Lawson) leaves -L c out."""
+
+    def __init__(self, lin):
+        self.lin = lin
+
+    def __call__(self, c, out=None, scale=None):
+        f = -self.lin * c if scale is None else np.zeros_like(c)
+        if out is None:
+            return f
+        out[:] = f
+        return out
+
+
+def counted_transforms(monkeypatch):
+    """Wrap numpy.fft's real transforms; returns the list of the names of
+    the transforms called from then on."""
+    calls = []
+
+    def counted(fft):
+        def call(*args, **kwargs):
+            calls.append(fft.__name__)
+            return fft(*args, **kwargs)
+        return call
+
+    for fft in (np.fft.rfft, np.fft.irfft):
+        monkeypatch.setattr(np.fft, fft.__name__, counted(fft))
+    return calls
 
 
 def lawson_span():
@@ -117,14 +149,14 @@ class TestTableau:
         assert abs(RK8_E3 @ nodes**3) > 1e-2  # 2.5e-2
 
     def test_step_is_exact_for_zero_rhs(self):
-        rhs = lambda c: np.zeros_like(c)
+        rhs = DiagonalRhs(0.0)
         c0 = np.arange(16, dtype=complex)
         step = rk8_step(c0, 0.5, rhs)
         assert np.array_equal(step.c, c0) and step.error == 0.0
 
     def test_step_solves_linear_decay_to_order(self):
         # dc/dt = -c: one step of size h has error O(h^9)
-        rhs = lambda c: -c
+        rhs = DiagonalRhs(1.0)
         c0 = np.ones(8, dtype=complex)
         for h in (0.5, 0.25):
             err = abs(rk8_step(c0, h, rhs).c[0] - np.exp(-h))
@@ -141,6 +173,48 @@ class TestTableau:
         reused = rk8_step(first.c, 0.01, rhs, rhs.diss, first.f)
         assert np.array_equal(reused.c, again.c)
         assert reused.error == again.error > 0.0
+
+
+def textbook_step(c, dt, rhs, lin=None):
+    """DOP853 written out from the whole right-hand side rhs(y), stage by
+    stage: explicit, or Lawson with E(s) = exp(-s dt L) and
+    K_i = E(c_i)^-1 (rhs(Y_i) + L Y_i); the new state and the error
+    estimate (scipy's norm, unit scale)."""
+    def e(s):
+        return 1.0 if lin is None else np.exp(-s * dt * lin)
+
+    k = []
+    for a_i, c_i in zip(RK8_A, RK8_C):
+        y = e(c_i) * (c + dt * sum(a * kj for a, kj in zip(a_i, k)))
+        k.append((rhs(y) + (0.0 if lin is None else lin * y)) / e(c_i))
+    new = e(1.0) * (c + dt * sum(b * kj for b, kj in zip(RK8_B, k)))
+    e5 = e(1.0) * sum(w * kj for w, kj in zip(RK8_E5, k))
+    e3 = e(1.0) * sum(w * kj for w, kj in zip(RK8_E3, k))
+    n5, n3 = np.sum(np.abs(e5)**2), np.sum(np.abs(e3)**2)
+    return new, dt * n5 / np.sqrt((n5 + 0.01 * n3) * c.size)
+
+
+class TestStepAgainstTextbook:
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("domain, nu, lawson", [
+        (Domain.CIRCLE, 1.0, True), (Domain.CIRCLE, 1.0, False),
+        (Domain.CIRCLE, 0.0, False), (Domain.LINE, 1.0, False)],
+        ids=["circle-lawson", "circle-explicit", "circle-inviscid", "line"])
+    @pytest.mark.parametrize("reuse", [False, True], ids=["no-f0", "f0"])
+    def test_step_matches_textbook_formulas(self, n, domain, nu, lawson,
+                                            reuse):
+        rhs = Rhs(domain, GclmParams(a=0.5, sigma=1.0, nu=nu), n)
+        # random data, and a step that changes it by about 10 %
+        c = random_coeffs(n, seed=n) * np.exp(-0.2 * np.arange(n + 1))
+        lin = rhs.diss if lawson else None
+        dt = 0.1 * np.max(np.abs(c)) / np.max(np.abs(rhs(c)))
+        step = rk8_step(c, dt, rhs, lin, rhs(c) if reuse else None)
+        new, err = textbook_step(c, dt, rhs, lin)
+        assert np.max(np.abs(step.c - new)) <= 1e-14 * np.max(np.abs(new))
+        # the estimate is a cancelling sum of the stages: its round-off is
+        # about 1e-9 of it here (the estimates are 1e-11 to 1e-7)
+        assert step.error == pytest.approx(err, rel=1e-6)
+        assert np.array_equal(step.f, rhs(step.c))
 
 
 class TestErrorEstimate:
@@ -209,7 +283,7 @@ class TestLawsonStep:
         lin = operators(16, Domain.CIRCLE).kabs ** 2
         h = dynamics._LAWSON_GROWTH / (lawson_span() * np.max(lin))
         c0 = random_coeffs(16)
-        got = rk8_step(c0, h, lambda c: -lin * c, lin)
+        got = rk8_step(c0, h, DiagonalRhs(lin), lin)
         assert np.max(np.abs(got.c - np.exp(-h * lin) * c0)) <= 1e-14
         assert got.error == 0.0
 
@@ -323,18 +397,20 @@ class TestRhsAgainstExactFamilies:
         # the nonlinear term; the dissipation takes none
         rhs = Rhs(Domain.LINE, state.gclm_params(), 64)
         c = state.field(64).coeffs
-        calls = []
-
-        def counted(fft):
-            def call(*args, **kwargs):
-                calls.append(fft.__name__)
-                return fft(*args, **kwargs)
-            return call
-
-        for fft in (np.fft.rfft, np.fft.irfft):
-            monkeypatch.setattr(np.fft, fft.__name__, counted(fft))
+        calls = counted_transforms(monkeypatch)
         rhs(c)
         assert len(calls) == n_transforms, calls
+
+    @pytest.mark.parametrize("a", [0.0, 0.5])
+    def test_circle_rhs_transform_count(self, a, monkeypatch):
+        # one stacked irfft and one rfft, also in a Lawson stage's call
+        rhs = Rhs(Domain.CIRCLE, GclmParams(a=a, sigma=1.0, nu=1.0), 64)
+        c = two_mode_field(2.0, 64).coeffs
+        calls = counted_transforms(monkeypatch)
+        rhs(c)
+        assert calls == ["irfft", "rfft"]
+        rhs(c, out=np.empty_like(c), scale=np.ones_like(c))
+        assert calls == ["irfft", "rfft"] * 2
 
     def test_rhs_is_resolution_independent(self):
         # band-limited data: coefficients of the rhs agree across grids
@@ -388,14 +464,22 @@ class TestAdaptiveDt:
 
 
 class TestTimeSeries:
+    def make_rows(self):
+        return [dict(t=t, max_abs_omega=1.0 + i, delta_x=0.5 / (1 + i),
+                     p_fit=2.0, l2=1.0, b0=3.0, energy=0.25, n_modes=256)
+                for i, t in enumerate(np.linspace(0.0, 1.0, 9))]
+
     def make_series(self):
-        ts = TimeSeries()
-        for i, t in enumerate(np.linspace(0.0, 1.0, 9)):
-            ts.append(t=t, max_abs_omega=1.0 + i, delta_x=0.5 / (1 + i),
-                      p_fit=2.0, l2=1.0, b0=3.0, energy=0.25,
-                      n_modes=256)
-        ts.terminal_status = TerminalStatus.REACHED_T_END
-        return ts
+        return TimeSeries.from_rows(self.make_rows(),
+                                    TerminalStatus.REACHED_T_END)
+
+    def test_rows_give_float_columns_and_integer_modes(self):
+        # simulate collects rows and builds the columns once at the end
+        ts = self.make_series()
+        for name in CSV_COLUMNS:
+            col = getattr(ts, name)
+            assert col.dtype == (int if name == "n_modes" else float)
+            assert np.array_equal(col, [row[name] for row in self.make_rows()])
 
     def test_csv_round_trip_is_byte_identical(self):
         ts = self.make_series()
@@ -834,9 +918,9 @@ class TestSimulate:
         calls = []
         call = Rhs.__call__
 
-        def counted(self, c):
+        def counted(self, c, **kwargs):
             calls.append(self.n)
-            return call(self, c)
+            return call(self, c, **kwargs)
 
         monkeypatch.setattr(Rhs, "__call__", counted)
         attempts = recording_step(monkeypatch)

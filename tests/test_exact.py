@@ -145,6 +145,15 @@ class TestDoublePole:
             g = st.advance(t).implicit_invariant()
             assert abs(g - (g0 + slope * t)) < 1e-10
 
+    def test_inviscid_implicit_invariant_is_conserved(self):
+        # G has no meaning at nu = 0; the invariant is v_c omega_m2 itself
+        st = DoublePoleState(omega_m2_0=4.0, nu=0.0)
+        tc = st.classify().t_c
+        assert st.implicit_invariant() == 4.0
+        for t in np.array([0.1, 0.5, 0.9]) * tc:
+            assert st.advance(t).implicit_invariant() == pytest.approx(
+                4.0, rel=1e-14)
+
     def test_norms_closed_form(self):
         st = DoublePoleState(omega_m2_0=4.0).advance(0.1)
         rep = norms(st.field(1024))

@@ -492,14 +492,13 @@ class TestAaaRecord:
 
 class TestEmitPlots:
     def _series(self, status):
-        ts = TimeSeries()
+        rows = []
         for t in np.linspace(0.0, 1.0, 20):
             amp = np.exp(5.0 * t)
-            ts.append(t=t, max_abs_omega=amp, delta_x=0.3 * (1.1 - t),
-                      p_fit=0.0, l2=amp, b0=amp, energy=1.0,
-                      n_modes=256)
-        ts.terminal_status = status
-        return ts
+            rows.append(dict(t=t, max_abs_omega=amp, delta_x=0.3 * (1.1 - t),
+                             p_fit=0.0, l2=amp, b0=amp, energy=1.0,
+                             n_modes=256))
+        return TimeSeries.from_rows(rows, status)
 
     def test_collapse_run_gets_four_scripts(self, tmp_path):
         self._series(TerminalStatus.COLLAPSE_DETECTED).to_csv(

@@ -97,6 +97,18 @@ class TestRationalApprox:
         res = fit.residues[np.argmin(np.abs(fit.poles - 1j))]
         assert res == pytest.approx(-0.5j, abs=1e-10)
 
+    def test_poles_near_axis_orders_by_distance_to_the_samples(self):
+        # tanh(5x) on [-1, 1]: AAA also places a real pole near x = -219,
+        # closer to the axis than +-i pi/10 but far from the data
+        x = np.linspace(-1.0, 1.0, 400)
+        fit = aaa_approximate(x, np.tanh(5.0 * x))
+        assert np.min(np.abs(fit.poles.imag)) < 1e-6
+        assert np.max(np.abs(fit.poles.real)) > 100.0
+        near = fit.poles_near_axis()
+        assert sorted(near[:2].imag) == pytest.approx(
+            [-0.1 * np.pi, 0.1 * np.pi], abs=1e-10)
+        assert near[-1].real < -100.0
+
     def test_wide_loewner_interpolates(self):
         # 8 support points among 12 samples: from the 7th step on, fewer
         # samples are free than there are weights, and a null vector of
