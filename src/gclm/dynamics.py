@@ -159,8 +159,7 @@ class Rhs:
         np.multiply(w + p.omega_av if p.omega_av else w, ux, out=nl)
         if adv:  # u, w_x
             nl -= np.multiply(p.a * adv[0], adv[1], out=tmp)
-        res = np.fft.rfft(nl, out=out)
-        res *= ops.spec_phase
+        res = ops.spec(nl, out=out)
         if ops.domain is Domain.LINE:
             if p.nu != 0.0:
                 # sigma rounds of (1 + cos q) d_q H^q (d_q H^q has the

@@ -97,12 +97,6 @@ def _continuous_sqrt(path: np.ndarray) -> np.ndarray:
     return s
 
 
-def _sqrt_at(radicand_of_t, t: float, nsteps: int = 64) -> complex:
-    """sqrt(radicand(t)) reached continuously from t = 0."""
-    ts = np.linspace(0.0, t, nsteps) if t > 0 else np.array([0.0])
-    return complex(_continuous_sqrt(radicand_of_t(ts))[-1])
-
-
 def _bisect(f, lo, hi, xtol: float = 0.0, rtol: float = 0.0) -> float:
     """A point where f changes sign, from f(lo) > 0 >= f(hi): the interval
     is halved until it is at most xtol + rtol |mid| wide, or until no float
@@ -251,11 +245,15 @@ class SchochetState(PoleState):
     def k_const(self) -> float:
         return schochet_k(self.sign)
 
-    def _radicand(self, ts):
-        return (self.x1_0 - self.x2_0) ** 2 - (5.0 / 3.0) * self.k_const * self.nu * np.asarray(ts)
-
     def _sqrt(self, t: float) -> complex:
-        return _sqrt_at(self._radicand, t)
+        """x1 - x2 = sqrt(R(t)), R(t) = (x1_0 - x2_0)^2 - (5/3) K nu t.
+
+        R moves along a horizontal line in the complex plane, so it meets
+        the branch cut only if it lies on the real axis, and there the
+        principal root is the one continued from t = 0."""
+        dx2 = (self.x1_0 - self.x2_0) ** 2
+        return complex(np.sqrt(complex(
+            dx2 - (5.0 / 3.0) * self.k_const * self.nu * t)))
 
     def positions(self, t: float | None = None) -> tuple[complex, complex]:
         t = self.t if t is None else t

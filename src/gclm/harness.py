@@ -491,6 +491,13 @@ def load_series():
     cols = {name: data[:, i] for i, name in enumerate(names)}
     return status, cols
 
+def load_fit():
+    path = os.path.join(here, "fit.json")
+    if not os.path.exists(path):
+        return {}
+    with open(path) as fh:
+        return json.load(fh)
+
 def load_snapshot(name):
     path = os.path.join(here, name)
     with open(path) as fh:
@@ -510,8 +517,7 @@ def load_snapshot(name):
 _PLOT_BODIES = {
     "plot_amplitude.py": """\
 status, cols = load_series()
-fit = json.load(open(os.path.join(here, "fit.json"))) if \\
-    os.path.exists(os.path.join(here, "fit.json")) else {}
+fit = load_fit()
 plt.figure()
 if fit.get("collapse"):
     tc = fit["collapse"]["t_c"]
@@ -531,8 +537,7 @@ plt.savefig(os.path.join(here, "amplitude.png"), dpi=150)
 """,
     "plot_delta.py": """\
 status, cols = load_series()
-fit = json.load(open(os.path.join(here, "fit.json"))) if \\
-    os.path.exists(os.path.join(here, "fit.json")) else {}
+fit = load_fit()
 ok = np.isfinite(cols["delta_x"])
 plt.figure()
 if fit.get("collapse"):
@@ -555,8 +560,7 @@ k = np.arange(1, n)
 mag = np.abs(coeffs[n + 1:])
 plt.figure()
 plt.semilogy(k, np.maximum(mag, 1e-300), ".", ms=2)
-fit = json.load(open(os.path.join(here, "fit.json"))) if \\
-    os.path.exists(os.path.join(here, "fit.json")) else {}
+fit = load_fit()
 if fit.get("decay"):
     d = fit["decay"]
     kk = np.linspace(1, n - 1, 200)
@@ -570,7 +574,7 @@ plt.savefig(os.path.join(here, "spectrum.png"), dpi=150)
 """,
     "plot_profile.py": """\
 status, cols = load_series()
-fit = json.load(open(os.path.join(here, "fit.json")))
+fit = load_fit()
 t, n, coeffs, x, vals = load_snapshot("snapshot_final.txt")
 c = fit["collapse"]
 tau = c["t_c"] - t

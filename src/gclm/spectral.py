@@ -30,9 +30,6 @@ __all__ = [
     "read_snapshot",
 ]
 
-#: grid points this close to q = +-pi (in 1 + cos q) are treated as singular
-EPS_JACOBIAN = 1e-10
-
 #: fraction of the spectrum counted as the "tail" band
 TAIL_BAND_FRACTION = 0.125
 
@@ -90,11 +87,10 @@ class Operators:
         #: top TAIL_BAND_FRACTION of wavenumbers
         self.tail = self.kabs >= (1.0 - TAIL_BAND_FRACTION) * grid_size
         #: dq/dx, which turns a grid derivative into an x one: 1 on the
-        #: circle, 1 + cos q on the line (x = tan(q/2)), where it vanishes
-        #: at the node q = -pi (the one node of ``singular``)
+        #: circle, 1 + cos q on the line (x = tan(q/2)), where it is exactly
+        #: 0.0 at node 0, q = -pi, and positive at every other node
         self.jac = (1.0 + np.cos(self.grid) if domain is Domain.LINE
                     else np.ones(m))
-        self.singular = self.jac < EPS_JACOBIAN
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.setflags(write=False)
@@ -108,22 +104,22 @@ class Operators:
         """
         return np.fft.irfft(c * self.phase, self.grid.size, norm="forward")
 
-    def spec(self, v: np.ndarray) -> np.ndarray:
-        """Coefficients k = 0..N of the grid values v: numpy's rfft times
-        phase / 2N (its norm="forward" would cost a division per call)."""
-        return np.fft.rfft(v) * self.spec_phase
+    def spec(self, v: np.ndarray,
+             out: np.ndarray | None = None) -> np.ndarray:
+        """Coefficients k = 0..N of the grid values v, into ``out`` when
+        given: numpy's rfft times phase / 2N in place (its norm="forward"
+        would cost a division per call)."""
+        out = np.fft.rfft(v, out=out)
+        out *= self.spec_phase
+        return out
 
     def over_jacobian(self, v: np.ndarray) -> np.ndarray:
-        """v / (1 + cos q) on the line grid, with the singular node at
-        q = -pi filled by 4th-order symmetric interpolation from its
-        periodic neighbours (the node is isolated)."""
-        out = np.divide(v, self.jac, out=np.zeros_like(v),
-                        where=~self.singular)
-        m = out.size
-        for j in np.nonzero(self.singular)[0]:
-            f1 = out[(j + 1) % m] + out[(j - 1) % m]
-            f2 = out[(j + 2) % m] + out[(j - 2) % m]
-            out[j] = (4.0 * f1 - f2) / 6.0
+        """v / (1 + cos q) on the line grid. The divisor is 0.0 only at
+        node 0, q = -pi; that value is filled by 4th-order symmetric
+        interpolation from its periodic neighbours."""
+        out = np.empty_like(v)
+        np.divide(v[1:], self.jac[1:], out=out[1:])
+        out[0] = (4.0 * (out[1] + out[-1]) - (out[2] + out[-2])) / 6.0
         return out
 
     def times_jacobian(self, f: np.ndarray) -> np.ndarray:

@@ -601,6 +601,17 @@ class TestSimulate:
         _, state = simulate(f, params, controls)
         assert abs(state.field.coeffs[0].real - f.coeffs[0].real) < 1e-12
 
+    def test_mean_vorticity_rotates_small_data(self):
+        # w = 1e-8 cos x: the linear part w_1' = (-i omega_av - nu) w_1,
+        # from omega_av H(w) - nu Lambda w; the quadratic terms are 1e-8
+        # smaller
+        f = SpectralField.from_function(lambda x: 1e-8 * np.cos(x), 32)
+        params = GclmParams(a=0.5, sigma=1.0, nu=1.0, omega_av=0.7)
+        _, state = simulate(f, params, RunControls(t_end=2.0, n0=32))
+        assert state.t == 2.0 and state.field.grid_size == 32
+        want = f.coeffs[1] * np.exp((-1j * params.omega_av - params.nu) * 2.0)
+        assert state.field.coeffs[1] == pytest.approx(want, rel=1e-12)
+
     def test_cfl_halving_self_convergence(self):
         st = exact.PeriodicPoleState(omega_m1_0=-3.0, v_c0=1.0, nu=1.0)
         p = st.gclm_params()

@@ -86,6 +86,24 @@ class TestSchochet:
         resc = tau**2 * st.advance(cl.t_c - tau).evaluate(cl.x_c + xi * tau)
         assert np.max(np.abs(resc - prof)) < 1e-4 * np.max(np.abs(prof))
 
+    @pytest.mark.parametrize("x1_0, x2_0", [
+        (-1j, -2j),  # R(t) on the negative real axis (the branch cut)
+        (1 - 1j, -1 - 1j),  # R(t) real, through 0 onto the cut
+        (0.3 - 1j, -0.2 - 1.5j),  # Im R < 0
+        (-0.7 - 2j, 0.4 - 0.5j)])  # Im R > 0
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_poles_follow_the_root_continued_from_t0(self, x1_0, x2_0, sign):
+        # x1 - x2 = sqrt(R(t)) continued along 4,096 samples of R on [0, t]
+        st = SchochetState(x1_0=x1_0, x2_0=x2_0, sign=sign)
+        slope = -5.0 / 3.0 * st.k_const * st.nu
+        for t in (0.0, 1e-3, 0.1, 1.0, 7.3):
+            ts = np.linspace(0.0, t, 4096)
+            s = exact._continuous_sqrt((x1_0 - x2_0) ** 2 + slope * ts)[-1]
+            x1, x2 = st.positions(t)
+            assert x1 - x2 == pytest.approx(s, rel=1e-14)
+            assert st.amplitude(t) == pytest.approx(
+                -st.k_const * st.nu * 1j / s, rel=1e-14)
+
     def test_advance_past_collapse_raises(self):
         st = SchochetState()
         with pytest.raises(PastCollapseError):

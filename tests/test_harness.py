@@ -116,6 +116,12 @@ t_end = 0.01
 n0 = 128
 """
 
+#: the benchmark's circle run: a collapse is detected at N = 512, t = 1.15
+COLLAPSE_CFG = ("[run]\nmode = simulate\ndomain = circle\noutput_dir = c\n"
+                "[params]\na = 0.5\nsigma = 1.0\nnu = 1.0\n"
+                "[initial]\nkind = two_mode\namplitude = 4.0\n"
+                "[controls]\nt_end = 1.4\nn0 = 64\nn_max = 512\n")
+
 ORACLE_CFG = """\
 [run]
 mode = oracle_compare
@@ -518,15 +524,37 @@ class TestEmitPlots:
         with pytest.raises(FileNotFoundError, match="series.csv"):
             emit_plots(tmp_path)
 
-    @pytest.mark.parametrize("n", [64, 32768])
-    def test_snapshot_loader_matches_field_values(self, tmp_path,
-                                                  monkeypatch, n):
-        # matplotlib is not a dependency: the generated header gets a stub
+    @pytest.fixture
+    def pyplot_calls(self, monkeypatch):
+        """matplotlib is not a dependency: the generated scripts get a
+        pyplot whose every function does nothing but record its call."""
+        calls = []
         plt = types.ModuleType("matplotlib.pyplot")
+        plt.__getattr__ = lambda name: (
+            lambda *args, **kwargs: calls.append((name, args)))
         mpl = types.ModuleType("matplotlib")
         mpl.pyplot = plt
         monkeypatch.setitem(sys.modules, "matplotlib", mpl)
         monkeypatch.setitem(sys.modules, "matplotlib.pyplot", plt)
+        return calls
+
+    def test_scripts_run_on_a_collapse_run(self, tmp_path, monkeypatch,
+                                           pyplot_calls):
+        # fit.json holds a collapse fit, so all four scripts are emitted
+        monkeypatch.setenv("GCLM_OUTPUT_ROOT", str(tmp_path))
+        out = Path(run(parse_config(COLLAPSE_CFG))["series"]).parent
+        for path in emit_plots(out):
+            namespace = {"__file__": path, "__name__": "__main__"}
+            exec(compile(Path(path).read_text(), path, "exec"), namespace)
+            assert namespace["fit"]["collapse"]
+        pngs = [Path(args[0]).name for name, args in pyplot_calls
+                if name == "savefig"]
+        assert sorted(pngs) == ["amplitude.png", "delta.png", "profile.png",
+                                "spectrum.png"]
+
+    @pytest.mark.parametrize("n", [64, 32768])
+    def test_snapshot_loader_matches_field_values(self, tmp_path,
+                                                  pyplot_calls, n):
         rng = np.random.default_rng(n)
         snap = tmp_path / "snapshot_final.txt"
         write_snapshot(SpectralField.from_grid(rng.standard_normal(2 * n)),
@@ -658,15 +686,11 @@ class TestImportBudget:
             " nu=1.0), RunControls(t_end=1.0, n0=64))", tmp_path) == set()
 
     def test_collapse_run_loads_no_scipy(self, tmp_path):
-        # the bench circle config: it collapses, so the AAA fit and the
-        # collapse fit run too, in numpy
-        text = ("[run]\nmode = simulate\ndomain = circle\noutput_dir = c\n"
-                "[params]\na = 0.5\nsigma = 1.0\nnu = 1.0\n"
-                "[initial]\nkind = two_mode\namplitude = 4.0\n"
-                "[controls]\nt_end = 1.4\nn0 = 64\nn_max = 512\n")
+        # it collapses, so the AAA fit and the collapse fit run too, in
+        # numpy
         assert self.scipy_loaded(
             f"import json\nfrom gclm import harness\n"
-            f"arts = harness.run(harness.parse_config({text!r}))\n"
+            f"arts = harness.run(harness.parse_config({COLLAPSE_CFG!r}))\n"
             f"assert json.load(open(arts['fit']))['collapse']", tmp_path) \
             == set()
 
