@@ -21,8 +21,8 @@ absolute time t, refused at or past the collapse time).
 
 Every trajectory is a closed form, at most inverted by one bisection (the
 double pole); collapse times come from closed forms or from a scan for the
-first zero of a pole distance, finished by bisection or golden-section
-search. numpy is all they need.
+first zero of a pole distance, finished by bisection of the distance at a
+crossing or of the pole velocity at a tangency. numpy is all they need.
 """
 
 from __future__ import annotations
@@ -87,16 +87,6 @@ class Classification:
         return cls(Kind.COLLAPSE, float(t_c), float(x_c), alpha, beta)
 
 
-def _continuous_sqrt(path: np.ndarray) -> np.ndarray:
-    """Square root along a sampled path, principal branch at the start,
-    sign-flipped whenever consecutive values would jump branches (a flip
-    negates both values of each later pair, so jumps are judged unflipped)."""
-    s = np.sqrt(path.astype(complex))
-    jump = np.abs(s[1:] - s[:-1]) > np.abs(s[1:] + s[:-1])
-    s[1:] = np.where(np.logical_xor.accumulate(jump), -s[1:], s[1:])
-    return s
-
-
 def _bisect(f, lo, hi, xtol: float = 0.0, rtol: float = 0.0) -> float:
     """A point where f changes sign, from f(lo) > 0 >= f(hi): the interval
     is halved until it is at most xtol + rtol |mid| wide, or until no float
@@ -111,41 +101,20 @@ def _bisect(f, lo, hi, xtol: float = 0.0, rtol: float = 0.0) -> float:
             hi = mid
 
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, xtol: float) -> float:
-    """Golden-section search: a minimizer of f on [lo, hi], unimodal there,
-    to an interval of width at most xtol."""
-    a, b = lo, hi
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
-def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
-    """First positive root of a scalar function, allowing tangential zeros.
+def _first_zero(f, fdot, t_hint: float, t_cap: float = 1e6):
+    """First positive root of f, allowing tangential zeros.
 
     Returns (t, tangent) or None; ``tangent`` is True when f touches zero
-    without changing sign.  ``f_vec`` evaluates f on a whole t array at
-    once (the scan); f itself serves the root polish: bisection of the
-    first sign change to within 1e-14 + 1e-15 t, or a golden-section
-    search of an interior minimum.
+    without changing sign.  f is evaluated on a whole t array at once (the
+    scan over [0, t_hint], doubled up to t_cap).  The first sign change is
+    bisected to within 1e-14 + 1e-15 t; at an interior sampled minimum the
+    derivative ``fdot``, which has a simple zero there, is bisected instead.
     """
     scale = max(abs(f(0.0)), 1e-12)
     t_hi = t_hint
     while t_hi <= t_cap:
         ts = np.linspace(0.0, t_hi, 8193)[1:]
-        vals = np.asarray(f_vec(ts))
+        vals = np.asarray(f(ts))
         neg = np.nonzero(vals <= 0)[0]
         if neg.size:
             i = neg[0]
@@ -156,7 +125,7 @@ def _first_zero(f, f_vec, t_hint: float, t_cap: float = 1e6):
         # look for a tangential touch at the interior minimum
         i = int(np.argmin(vals))
         if 0 < i < vals.size - 1:
-            t = _golden_min(f, ts[i - 1], ts[i + 1], 1e-14 * ts[i])
+            t = _bisect(lambda t: -fdot(t), ts[i - 1], ts[i + 1])
             if f(t) <= 1e-9 * scale:
                 return float(t), True
         t_hi *= 2.0
@@ -535,32 +504,38 @@ class TwoPairS1State(PoleState):
     def c1(self) -> complex:
         return self.omega_m1_1_0 - self.omega_m1_2_0
 
-    def _path(self, ts):
-        """(omega_m1_1, omega_m1_2, v_c1, v_c2) along the times ts, with the
-        square root continued from ts[0] (vectorized)."""
-        ts = np.asarray(ts, dtype=float)
+    def values_at(self, t):
+        """(omega_m1_1, omega_m1_2, v_c1, v_c2) at time t (scalar or array).
+
+        The square root s of the radicand 1 + 2 c1 tau + c0^2 tau^2,
+        tau = t / (v_c1_0 - v_c2_0), is taken as sqrt(1 - rho1 tau)
+        sqrt(1 - rho2 tau) with rho1 + rho2 = -2 c1, rho1 rho2 = c0^2: rho1
+        the root of larger modulus, rho2 = c0^2 / rho1 free of cancellation
+        (c0 = 0 gives rho2 = 0).  Each factor runs along a straight line
+        through 1 and meets the branch cut only through 0, where
+        v_c1 = v_c2: s is continuous in t from s(0) = 1.
+        """
         c0, c1 = self.c0, self.c1
         dv = self.v_c1_0 - self.v_c2_0
         vsum = self.v_c1_0 + self.v_c2_0
-        s = _continuous_sqrt(1.0 + 2.0 * c1 * ts / dv + c0**2 * ts**2 / dv**2)
-        om1 = 0.5 * c0 + 0.5 * (c1 + c0**2 * ts / dv) / s
-        v1 = 0.5 * c0 * ts + self.nu * ts + 0.5 * dv * s + 0.5 * vsum
-        return om1, c0 - om1, v1, -v1 + (2.0 * self.nu + c0) * ts + vsum
-
-    def values_at(self, t: float):
-        """(omega_m1_1, omega_m1_2, v_c1, v_c2) at time t."""
-        ts = np.linspace(0.0, t, 256) if t > 0 else np.array([0.0])
-        return tuple(p[-1] for p in self._path(ts))
+        d = np.sqrt(c1 * c1 - c0 * c0)
+        rho1 = -c1 - d if abs(-c1 - d) >= abs(-c1 + d) else -c1 + d
+        rho2 = c0 * c0 / rho1 if rho1 else 0.0
+        t = np.asarray(t, dtype=float)
+        s = np.sqrt(1.0 - rho1 * t / dv) * np.sqrt(1.0 - rho2 * t / dv)
+        om1 = 0.5 * c0 + 0.5 * (c1 + c0**2 * t / dv) / s
+        v1 = 0.5 * c0 * t + self.nu * t + 0.5 * dv * s + 0.5 * vsum
+        return om1, c0 - om1, v1, -v1 + (2.0 * self.nu + c0) * t + vsum
 
     def evaluate(self, x):
         om1, om2, v1, v2 = self.values_at(self.t)
         return np.real(_pole_pairs(x, (om1, v1), (om2, v2)))
 
-    def pole_distances(self, t: float) -> tuple[float, float]:
+    def pole_distances(self, t):
         _, _, v1, v2 = self.values_at(t)
         return v1.real, v2.real
 
-    def _vdot(self, j: int, t: float) -> complex:
+    def _vdot(self, j: int, t):
         om1, om2, _, _ = self.values_at(t)
         return self.nu + (om1 if j == 1 else om2)
 
@@ -569,7 +544,7 @@ class TwoPairS1State(PoleState):
         hits = []
         for j in (1, 2):
             res = _first_zero(lambda t, j=j: self.pole_distances(t)[j - 1],
-                              lambda ts, j=j: np.real(self._path(ts)[j + 1]),
+                              lambda t, j=j: self._vdot(j, t).real,
                               t_hint=max(1.0, scale))
             if res is not None:
                 hits.append((res[0], j, res[1]))
@@ -598,10 +573,9 @@ class TwoPairS1State(PoleState):
             vd = self._vdot(j, cl.t_c - eps)
             f = om / (xi + 1j * vd) + np.conj(om) / (xi - 1j * np.conj(vd))
         else:
-            # tangential impact: second-order pole approach
-            h = 1e-6 * cl.t_c
-            vdd = (self._vdot(j, cl.t_c - eps)
-                   - self._vdot(j, cl.t_c - eps - h)) / h
+            # tangential impact: second-order pole approach, with
+            # d^2 v_c1/dt^2 = -d^2 v_c2/dt^2 = 2 omega_1 omega_2 / (v_c1 - v_c2)
+            vdd = (1 if j == 1 else -1) * 2.0 * om1 * om2 / (v1 - v2)
             f = (om / (xi - 0.5j * vdd)
                  + np.conj(om) / (xi + 0.5j * np.conj(vdd)))
         return np.real(f)
@@ -775,7 +749,7 @@ class PeriodicPoleState(_OnePair):
         w = self._w()
         hits = []
         res = _first_zero(lambda t: self.v_c(t).real,
-                          lambda ts: np.real(self.v_c(np.asarray(ts))),
+                          lambda t: self.omega_m1(t).real,  # = d Re v_c/dt
                           t_hint=1.0)
         if res is not None:
             hits.append((res[0], "zero"))

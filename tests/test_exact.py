@@ -29,6 +29,15 @@ from gclm.exact import (
 from gclm.spectral import Domain, norms
 
 
+def loop_continuous_sqrt(path):
+    """Reference: flip the whole tail at each branch jump, one at a time."""
+    s = np.sqrt(path.astype(complex))
+    for i in range(1, s.size):
+        if abs(s[i] - s[i - 1]) > abs(s[i] + s[i - 1]):
+            s[i:] = -s[i:]
+    return s
+
+
 class TestSchochet:
     def test_k_constants(self):
         assert schochet_k(1) == pytest.approx(24.0 * (3.0 + np.sqrt(6.0)))
@@ -98,7 +107,7 @@ class TestSchochet:
         slope = -5.0 / 3.0 * st.k_const * st.nu
         for t in (0.0, 1e-3, 0.1, 1.0, 7.3):
             ts = np.linspace(0.0, t, 4096)
-            s = exact._continuous_sqrt((x1_0 - x2_0) ** 2 + slope * ts)[-1]
+            s = loop_continuous_sqrt((x1_0 - x2_0) ** 2 + slope * ts)[-1]
             x1, x2 = st.positions(t)
             assert x1 - x2 == pytest.approx(s, rel=1e-14)
             assert st.amplitude(t) == pytest.approx(
@@ -298,37 +307,6 @@ class TestOnePairS1:
         assert np.max(np.abs(resc - prof)) < 1e-4 * np.max(np.abs(prof))
 
 
-def loop_continuous_sqrt(path):
-    """Reference: flip the whole tail at each branch jump, one at a time."""
-    s = np.sqrt(path.astype(complex))
-    for i in range(1, s.size):
-        if abs(s[i] - s[i - 1]) > abs(s[i] + s[i - 1]):
-            s[i:] = -s[i:]
-    return s
-
-
-class TestContinuousSqrt:
-    @pytest.mark.parametrize("path", [
-        # winds three times round 0 and wiggles back over the cut
-        (lambda t: (1.0 + t) * np.exp(1j * (6.0 * np.pi * t
-                                             + 1.5 * np.sin(13.0 * t)))),
-        # real, through zero and back several times (signed zeros)
-        (lambda t: np.cos(9.0 * t) - 0.2)],
-        ids=["winding", "real"])
-    def test_matches_the_tail_flipping_loop_bit_for_bit(self, path):
-        z = path(np.linspace(0.0, 1.0, 2001))
-        want = loop_continuous_sqrt(z)
-        got = exact._continuous_sqrt(z)
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        assert np.max(np.abs(np.diff(got))) < 0.1  # no branch jump left
-
-    def test_follows_the_analytic_branch_round_the_origin(self):
-        t = np.linspace(0.0, 1.0, 2001)
-        theta = 6.0 * np.pi * t
-        got = exact._continuous_sqrt(np.exp(1j * theta))
-        assert np.allclose(got, np.exp(0.5j * theta), atol=1e-12)
-
-
 class TestTwoPairS1:
     def test_total_residue_is_conserved_exactly(self):
         st = TwoPairS1State()
@@ -372,6 +350,9 @@ class TestTwoPairS1:
         cl = st.classify()
         assert cl.kind is Kind.COLLAPSE
         assert cl.t_c == pytest.approx(0.3, abs=1e-6)
+        # the double root is settled by bisecting the pole velocity's
+        # simple zero, not by searching the flat distance
+        assert cl.t_c == pytest.approx(0.3, abs=1e-13)
         assert cl.alpha == cl.beta == 2.0
 
     def test_transversal_crossing(self):
@@ -416,6 +397,70 @@ class TestTwoPairS1:
         resc = tau**2 * st.advance(cl.t_c - tau).evaluate(
             cl.x_c + xi * tau**2)
         assert np.max(np.abs(resc - prof)) < 1e-2 * np.max(np.abs(prof))
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-5, 1e-6])
+    def test_tangent_profile_misfit_is_first_order_in_tau(self, tau):
+        st = TwoPairS1State(omega_m1_1_0=-2.0, omega_m1_2_0=2.0,
+                            v_c1_0=0.1, v_c2_0=0.9, nu=1.0)
+        cl = st.classify()
+        xi = np.linspace(-4.0, 4.0, 41)
+        prof = st.similarity_profile(xi)
+        resc = tau**2 * st.advance(cl.t_c - tau).evaluate(
+            cl.x_c + xi * tau**2)
+        assert np.max(np.abs(resc - prof)) <= 2.0 * tau * np.max(np.abs(prof))
+
+    def test_zero_residue_pair_drifts_at_nu(self):
+        # omega_1 = 0 stays 0 and v_c1 = v_c1_0 + nu t: the other pair must
+        # not take its label
+        st = TwoPairS1State(
+            omega_m1_1_0=0.0,
+            omega_m1_2_0=-0.20645304286758895 + 0.7836444489443992j,
+            v_c1_0=0.3058946566420722 + 0.8168279035327226j,
+            v_c2_0=0.4050988737406306 + 0.44123481658854596j)
+        for t in (0.5, 1.0, 2.0, 5.0, 10.0):
+            om1, _, v1, _ = st.values_at(t)
+            assert abs(om1) <= 1e-12
+            assert abs(v1 - (st.v_c1_0 + t)) <= 1e-12
+
+    def test_closed_form_solves_the_pole_ode(self):
+        # central differences: dv_j/dt = nu + omega_j and
+        # d omega_1/dt = -d omega_2/dt = 2 omega_1 omega_2 / (v_c1 - v_c2)
+        rng = np.random.default_rng(7)
+        h = 1e-5
+        for _ in range(50):
+            om = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = rng.uniform(0.2, 1.5, 2) + 1j * rng.normal(size=2)
+            st = TwoPairS1State(om[0], om[1], v[0], v[1],
+                                nu=rng.uniform(0.0, 2.0))
+            t = rng.uniform(0.0, 1.0)
+            p = np.array(st.values_at(np.array([t - h, t, t + h])))
+            om1, om2, v1, v2 = p[:, 1]
+            rate = 2.0 * om1 * om2 / (v1 - v2)
+            want = np.array([rate, -rate, st.nu + om1, st.nu + om2])
+            got = (p[:, 2] - p[:, 0]) / (2.0 * h)
+            assert np.max(np.abs(got - want)) <= 1e-6 * max(
+                1.0, np.max(np.abs(want)))
+
+    def test_root_agrees_with_the_continued_root(self):
+        # values_at against the square root continued over 4,096 samples
+        # of the radicand on [0, t], where that sampling resolves it
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(10):
+            om = rng.normal(size=2) + 1j * rng.normal(size=2)
+            v = rng.uniform(0.2, 1.5, 2) + 1j * rng.normal(size=2)
+            st = TwoPairS1State(om[0], om[1], v[0], v[1])
+            dv, vsum = st.v_c1_0 - st.v_c2_0, st.v_c1_0 + st.v_c2_0
+            for t in (-0.5, 0.3, 1.0, 4.0):
+                ts = np.linspace(0.0, t, 4096)
+                rad = 1.0 + 2.0 * st.c1 * ts / dv + st.c0**2 * ts**2 / dv**2
+                if np.min(np.abs(rad)) <= 10.0 * np.max(np.abs(np.diff(rad))):
+                    continue
+                s = loop_continuous_sqrt(rad)[-1]
+                v1 = (0.5 * st.c0 + st.nu) * t + 0.5 * dv * s + 0.5 * vsum
+                assert st.values_at(t)[2] == pytest.approx(v1, rel=1e-13)
+                checked += 1
+        assert checked >= 30
 
 
 class TestTwoPairDoublePoleLimit:
@@ -515,6 +560,15 @@ class TestPeriodicPole:
             complex(sol.y[0, -1], sol.y[1, -1]), abs=1e-10)
         assert st.v_c(0.5) == pytest.approx(
             complex(sol.y[2, -1], sol.y[3, -1]), abs=1e-10)
+
+    @pytest.mark.parametrize("nu", [0.0, 0.7])
+    def test_pole_velocity_is_the_residue(self, nu):
+        # d v_c/dt = omega_{-1}, the derivative the crossing scan bisects
+        st = PeriodicPoleState(omega_m1_0=-1.0 + 0.4j, v_c0=0.8 - 0.2j, nu=nu)
+        h = 1e-5
+        for t in (0.0, 0.3, 0.9):
+            fd = (st.v_c(t + h) - st.v_c(t - h)) / (2.0 * h)
+            assert fd == pytest.approx(st.omega_m1(t), rel=1e-9)
 
     def test_real_data_kinds(self):
         # nu = 1, v0 = 1: global for -2 < om < 2, steady at the edges
