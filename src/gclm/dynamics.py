@@ -404,12 +404,18 @@ def _decay_fit(field: SpectralField) -> tracker.DecayFit | None:
         return None
 
 
-def _sample_row(field: SpectralField, t: float,
-                fit: tracker.DecayFit | None) -> dict:
-    rep = norms(field)
+def _sample_row(field: SpectralField, t: float, fit: tracker.DecayFit | None,
+                rhs: Rhs | None, observe) -> dict:
+    """Diagnostics of ``field`` at t (w and the line's u from ``rhs.grid``
+    unless rhs is None); calls ``observe(t, field)`` unless it is None."""
+    grid = ({"w": field.values()} if rhs is None
+            else dict(zip(rhs.names, rhs.grid)))
+    rep = norms(field, grid["w"], grid.get("u"))
+    if observe is not None:
+        observe(t, field)
     delta_x = p_fit = np.nan
     if fit is not None:
-        q_peak = field.grid()[np.argmax(np.abs(field.values()))]
+        q_peak = field.grid()[np.argmax(np.abs(grid["w"]))]
         at_boundary = (field.domain is Domain.LINE
                        and abs(q_peak) > np.pi / 2.0)
         delta_x = tracker.delta_to_x(fit.delta, field.domain, at_boundary)
@@ -460,8 +466,8 @@ def _stop(state: SimState, t_end: float, finite: bool, dt: float,
                 f"reached t_end = {t_end:.6g} at N = {n}")
 
 
-def simulate(initial: SpectralField, params: GclmParams,
-             controls: RunControls) -> tuple[TimeSeries, SimState]:
+def simulate(initial: SpectralField, params: GclmParams, controls: RunControls,
+             observe=None) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
     Steps are DOP853 order 8 (:func:`rk8_step`), Lawson where
@@ -483,8 +489,11 @@ def simulate(initial: SpectralField, params: GclmParams,
     t = 0; each step that passes a point k * sample_dt of the time grid or
     takes max|w| past SAMPLE_GROWTH times its last sample (evenly in
     log(t_c - t) near a collapse), never shortened to land on the grid;
-    the final state. Each sampled, capped or final field is fitted once;
-    the final fit is ``SimState.fit``."""
+    the final state. A row reads w (and the line's u) from the RHS's grid
+    at its state, except a StepFailed run's final row, and
+    ``observe(t, field)``, when given, sees each row's time and field.
+    Each sampled, capped or final field is fitted once; the final fit is
+    ``SimState.fit``."""
     params.validate(initial.domain)
     field = initial.copy()
     if field.grid_size < controls.n0:
@@ -496,7 +505,7 @@ def simulate(initial: SpectralField, params: GclmParams,
     dt_state = adaptive_dt(rhs, controls.cfl, controls.dt_max)
     dt_err = np.inf  # the error estimate's step; none before the first
     at_cap, cap_tail, fit, fitted = False, 0.0, _decay_fit(field), field
-    rows = [_sample_row(field, 0.0, fit)]  # the samples, built at the end
+    rows = [_sample_row(field, 0.0, fit, rhs, observe)]  # built at the end
     stop = _stop(state, controls.t_end, True, dt_state, cap_tail, fit)
     while stop is None:
         dt = min(dt_state, dt_err, controls.t_end - state.t)
@@ -533,11 +542,13 @@ def simulate(initial: SpectralField, params: GclmParams,
             if due or at_cap:
                 fit, fitted = _decay_fit(trial), trial
             if due:
-                rows.append(_sample_row(trial, state.t, fit))
+                rows.append(_sample_row(trial, state.t, fit, rhs, observe))
         stop = _stop(state, controls.t_end, finite, min(dt_state, dt_err),
                      cap_tail, fit if fitted is state.field else None)
     state.fit = fit if fitted is state.field else _decay_fit(state.field)
     if state.t > rows[-1]["t"]:
-        rows.append(_sample_row(state.field, state.t, state.fit))
+        if stop[0] is TerminalStatus.STEP_FAILED:
+            rhs = None  # its last evaluation was the failed trial's
+        rows.append(_sample_row(state.field, state.t, state.fit, rhs, observe))
     state.stop_reason = stop[1]
     return TimeSeries.from_rows(rows, stop[0]), state

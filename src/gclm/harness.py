@@ -204,14 +204,15 @@ def parse_config(source) -> RunConfig:
 
     initial = section("initial")
     kind = initial.get("kind", "two_mode")
-    if kind not in ("two_mode", "pole_family", "file"):
+    key = {"two_mode": "amplitude", "pole_family": "family", "file": "path"}
+    if kind not in key:
         raise ConfigError(f"initial.kind invalid: {kind!r}")
-    if kind == "two_mode" and "amplitude" not in initial:
-        raise ConfigError("initial.amplitude required for two_mode data")
-    if kind == "pole_family" and "family" not in initial:
-        raise ConfigError("initial.family required for pole_family data")
-    if kind == "file" and "path" not in initial:
-        raise ConfigError("initial.path required for file data")
+    if kind != "pole_family" and mode in (Mode.ORACLE_COMPARE,
+                                          Mode.EXACT_ONLY):
+        raise ConfigError(f"mode {mode.value} needs initial.kind = "
+                          f"pole_family, not {kind!r}")
+    if key[kind] not in initial:
+        raise ConfigError(f"initial.{key[kind]} required for {kind} data")
 
     sweep = section("sweep")
     if mode is Mode.CRITICAL_SWEEP:
@@ -361,7 +362,7 @@ def _aaa_record(field: SpectralField, t: float) -> dict:
 
 def run(config: RunConfig) -> dict:
     """Execute one configured experiment; returns artifact paths."""
-    t_start = time.time()
+    t_start = time.perf_counter()
     out = output_root(config)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = {}
@@ -373,7 +374,7 @@ def run(config: RunConfig) -> dict:
     def snapshot(name, field, t):
         write_snapshot(field, t, str(emit(name, name + ".txt")))
 
-    status, stop_reason = "ok", None
+    stop_reason = None
     if config.mode is Mode.EXACT_ONLY:
         state = _family_state(config)
         cl = state.classify()
@@ -384,10 +385,27 @@ def run(config: RunConfig) -> dict:
         snapshot("snapshot_initial", _resolved_field(state, config.controls),
                  0.0)
         status = cl.kind.value
-    elif config.mode is Mode.SIMULATE:
+    elif config.mode in (Mode.SIMULATE, Mode.ORACLE_COMPARE):
+        judge, errors = None, []
+        if config.mode is Mode.ORACLE_COMPARE:
+            state = _family_state(config)
+            # the oracle judges only a run of the equation it solves
+            solves = state.gclm_params()
+            for name in ("a", "sigma", "nu"):
+                got, want = getattr(config.params, name), getattr(solves, name)
+                if got != want:
+                    raise ConfigError(
+                        f"params.{name} = {got!r}, but family "
+                        f"{config.initial['family']} solves {name} = {want!r}")
+
+            def judge(t, field):
+                ex = state.advance(t).field(field.grid_size).values()
+                err = np.max(np.abs(field.values() - ex)) / np.max(np.abs(ex))
+                errors.append((float(t), float(err)))
         field0 = _initial_field(config)
         snapshot("snapshot_initial", field0, 0.0)
-        series, final = simulate(field0, config.params, config.controls)
+        series, final = simulate(field0, config.params, config.controls,
+                                 judge)
         series.to_csv(str(emit("series", "series.csv")))
         snapshot("snapshot_final", final.field, final.t)
         stop_reason = final.stop_reason
@@ -405,50 +423,17 @@ def run(config: RunConfig) -> dict:
                 f"the decay fit needs at least {tracker.MIN_WINDOW_MODES} "
                 f"modes above {tracker.FLOOR_TOL:g} of the peak in the k "
                 f"window [N/4, N/3]")
+        if judge is not None:
+            with open(emit("oracle", "oracle.csv"), "w") as fh:
+                fh.write("t,rel_linf_error\n" + "".join(
+                    f"{t!r},{e!r}\n" for t, e in errors))
+            fit_payload.update(family=config.initial["family"],
+                               max_rel_error=max(e for _, e in errors),
+                               n_comparisons=len(errors))
         _write_json(emit("fit", "fit.json"), fit_payload)
         _write_json(emit("aaa", "aaa.json"),
                     _aaa_record(final.field, final.t))
         status = series.terminal_status.value
-    elif config.mode is Mode.ORACLE_COMPARE:
-        state = _family_state(config)
-        # the oracle judges only a run of the equation it solves
-        solves = state.gclm_params()
-        for name in ("a", "sigma", "nu"):
-            got, want = getattr(config.params, name), getattr(solves, name)
-            if got != want:
-                raise ConfigError(
-                    f"params.{name} = {got!r}, but family "
-                    f"{config.initial['family']} solves {name} = {want!r}")
-        field = _resolved_field(state, config.controls)
-        snapshot("snapshot_initial", field, 0.0)
-        n_seg = 20
-        seg = config.controls.t_end / n_seg
-        rows = []
-        t = 0.0
-        for i in range(n_seg):
-            ctrl = dataclasses.replace(config.controls, t_end=seg,
-                                       n0=field.grid_size,
-                                       sample_dt=seg)
-            series, fin = simulate(field, config.params, ctrl)
-            if series.terminal_status is not TerminalStatus.REACHED_T_END:
-                status = series.terminal_status.value
-                break
-            t += fin.t
-            field = fin.field
-            ex = state.advance(t).field(field.grid_size)
-            scale = np.max(np.abs(ex.values()))
-            err = np.max(np.abs(field.values() - ex.values())) / scale
-            rows.append((t, err))
-        with open(emit("oracle", "oracle.csv"), "w") as fh:
-            fh.write("t,rel_linf_error\n")
-            for t_i, err in rows:
-                fh.write(f"{t_i!r},{err!r}\n")
-        _write_json(emit("fit", "fit.json"), {
-            "family": config.initial["family"],
-            "max_rel_error": max((e for _, e in rows), default=np.nan),
-            "n_comparisons": len(rows),
-        })
-        snapshot("snapshot_final", field, t)
     elif config.mode is Mode.CRITICAL_SWEEP:
         sweep = config.sweep
         result = collapse_mod.critical_amplitude(
@@ -466,7 +451,7 @@ def run(config: RunConfig) -> dict:
         })
         status = f"bracket=({result.lower!r},{result.upper!r})"
     _write_manifest(emit("manifest", "manifest.txt"), config,
-                    time.time() - t_start, status, stop_reason)
+                    time.perf_counter() - t_start, status, stop_reason)
     return artifacts
 
 

@@ -285,13 +285,15 @@ class NormReport:
     kinetic_energy: float
 
 
-def norms(f: SpectralField) -> NormReport:
-    """L2, Linf, Wiener (B0) norm and kinetic energy of the field."""
+def norms(f: SpectralField, w: np.ndarray | None = None,
+          u: np.ndarray | None = None) -> NormReport:
+    """L2, Linf, Wiener (B0) norm and kinetic energy of the field; its grid
+    values ``w`` and line velocity ``u`` are transformed unless given."""
     ops = f.ops
     c = f.coeffs
     absc = np.abs(c)
     b0 = float(np.sum(ops.mult * absc))
-    vals = ops.phys(c)
+    vals = ops.phys(c) if w is None else w
     linf = float(np.max(np.abs(vals)))
     if f.domain is Domain.CIRCLE:
         l2 = float(np.sqrt(2.0 * np.pi * np.sum(ops.mult * absc**2)))
@@ -300,7 +302,8 @@ def norms(f: SpectralField) -> NormReport:
         # physical (x-space) quadratures: dx = dq / (1 + cos q)
         dq = np.pi / f.grid_size
         l2 = float(np.sqrt(np.sum(ops.over_jacobian(vals**2)) * dq))
-        (u,) = ops.fields(c, ("u",))
+        if u is None:
+            (u,) = ops.fields(c, ("u",))
         ek = 0.5 * float(np.sum(ops.over_jacobian(u**2)) * dq)
     return NormReport(l2=l2, linf=linf, b0=b0, kinetic_energy=ek)
 

@@ -38,6 +38,7 @@ from gclm.spectral import (
     Domain,
     GclmParams,
     SpectralField,
+    norms,
     operators,
 )
 
@@ -752,16 +753,25 @@ class TestSimulate:
                 c=np.full_like(out.c, np.nan))
 
         monkeypatch.setattr(dynamics, "rk8_step", failing_step)
-        series, state = simulate(two_mode_field(0.1, 64),
-                                 GclmParams(a=0.5, sigma=1.0, nu=1.0),
-                                 RunControls(t_end=10.0, n0=64))
-        assert series.terminal_status is TerminalStatus.STEP_FAILED
-        assert state.step == 2
-        assert state.stop_reason == (f"non-finite coefficients in the step "
-                                     f"from t = {state.t:.6g} at N = 64")
-        # the last finite state is recorded once
-        assert series.t[-1] == state.t
-        assert np.count_nonzero(series.t == state.t) == 1
+        # sample_dt = t_end: the last finite state is sampled by the
+        # final-state rule alone, after the failed trial's evaluation
+        for sample_dt in (None, 10.0):
+            starts = []
+            series, state = simulate(two_mode_field(0.1, 64),
+                                     GclmParams(a=0.5, sigma=1.0, nu=1.0),
+                                     RunControls(t_end=10.0, n0=64,
+                                                 sample_dt=sample_dt))
+            assert series.terminal_status is TerminalStatus.STEP_FAILED
+            assert state.step == 2
+            assert state.stop_reason == (
+                f"non-finite coefficients in the step from t = "
+                f"{state.t:.6g} at N = 64")
+            # the last finite state is recorded once, from its own field:
+            # the failed trial's evaluation left its finite w in rhs.grid
+            assert series.t[-1] == state.t
+            assert np.count_nonzero(series.t == state.t) == 1
+            assert series.max_abs_omega[-1] == np.max(np.abs(
+                state.field.values()))
 
     @pytest.mark.parametrize("case", ["reached_t_end", "at_cap", "collapse",
                                       "refined_then_failed"])
@@ -803,6 +813,36 @@ class TestSimulate:
             # the padded field is fitted on modes [128, 170]
             assert state.fit.k_window == (128, 170)
             assert series.p_fit[-1] != state.fit.p
+            assert series.max_abs_omega[-1] == np.max(np.abs(
+                state.field.values()))
+
+    @pytest.mark.parametrize("case", ["circle", "line_u_from_grid",
+                                      "line_u_transformed"])
+    def test_rows_are_the_norms_of_the_observed_fields(self, case):
+        # rows read w (and the line's u) from the step's rhs.grid; they
+        # equal the norms transformed from each observed field bit for bit
+        dp, sch = exact.DoublePoleState(omega_m2_0=4.0), exact.SchochetState()
+        runs = {
+            "circle": (two_mode_field(4.0, 64), CAP_PARAMS,
+                       RunControls(t_end=1.4, n0=64, n_max=512)),
+            "line_u_from_grid": (dp.field(64), dp.gclm_params(), RunControls(
+                t_end=0.25 * dp.classify().t_c, n0=64)),
+            "line_u_transformed": (sch.field(64), sch.gclm_params(),
+                                   RunControls(t_end=0.5 * sch.classify().t_c,
+                                               n0=64)),
+        }
+        observed = []
+        series, state = simulate(*runs[case],
+                                 observe=lambda t, f: observed.append((t, f)))
+        assert np.array_equal([t for t, _ in observed], series.t)
+        assert observed[-1][1] is state.field
+        for i, (_, field) in enumerate(observed):
+            rep = norms(field)
+            assert series.max_abs_omega[i] == rep.linf
+            assert series.l2[i] == rep.l2
+            assert series.b0[i] == rep.b0
+            assert series.energy[i] == rep.kinetic_energy
+            assert series.n_modes[i] == field.grid_size
 
     def test_step_sampled_run_records_its_final_state(self):
         params = GclmParams(a=0.5, sigma=1.0, nu=1.0)

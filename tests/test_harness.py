@@ -405,11 +405,53 @@ class TestRunModes:
     def test_oracle_compare_onepair(self):
         artifacts = run(parse_config(ORACLE_CFG))
         fit = json.loads(Path(artifacts["fit"]).read_text())
-        assert fit["n_comparisons"] == 20
+        series = TimeSeries.from_csv(artifacts["series"])
+        # one comparison per sample row of the one simulate run
+        assert fit["n_comparisons"] == len(series)
         assert fit["max_rel_error"] < 1e-5
         rows = Path(artifacts["oracle"]).read_text().splitlines()
         assert rows[0] == "t,rel_linf_error"
-        assert len(rows) == 21
+        # the t column of series.csv, cell for cell
+        series_rows = Path(artifacts["series"]).read_text().splitlines()[2:]
+        assert ([row.split(",")[0] for row in rows[1:]]
+                == [row.split(",")[0] for row in series_rows])
+
+    def test_oracle_compare_writes_the_artifacts_of_a_simulate_run(self):
+        oracle = run(parse_config(ORACLE_CFG))
+        plain = run(parse_config(ORACLE_CFG.replace(
+            "mode = oracle_compare", "mode = simulate").replace(
+            "output_dir = oraclerun", "output_dir = plainrun")))
+        assert set(oracle) == set(plain) | {"oracle"}
+        assert all(Path(path).exists() for path in oracle.values())
+        # the same run: the same series, and fit.json extended by the judge
+        assert (Path(oracle["series"]).read_bytes()
+                == Path(plain["series"]).read_bytes())
+        fit = json.loads(Path(oracle["fit"]).read_text())
+        plain_fit = json.loads(Path(plain["fit"]).read_text())
+        assert fit.pop("family") == "onepair_s0"
+        assert fit.pop("max_rel_error") < 1e-5
+        assert fit.pop("n_comparisons") > 1
+        assert fit == plain_fit
+        manifest = Path(oracle["manifest"]).read_text().splitlines()
+        assert f"status = {fit['terminal_status']}" in manifest
+        assert f"stop_reason = {fit['stop_reason']}" in manifest
+
+    @pytest.mark.parametrize("mode", ["oracle_compare", "exact_only"])
+    def test_family_modes_need_pole_family_data(self, mode, tmp_path,
+                                                capsys):
+        text = (ORACLE_CFG.replace("mode = oracle_compare", f"mode = {mode}")
+                .replace("kind = pole_family", "kind = two_mode")
+                .replace("family = onepair_s0", "amplitude = 1.0"))
+        message = (f"mode {mode} needs initial.kind = pole_family, "
+                   f"not 'two_mode'")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text)
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as info:
+            cli.main(["run", str(cfg)])
+        assert info.value.code == 2
+        assert capsys.readouterr().err == f"gclm: error: {message}\n"
 
     def test_oracle_compare_rejects_params_of_another_equation(self):
         text = ORACLE_CFG.replace("sigma = 0.0", "sigma = 1.0")
