@@ -3,25 +3,32 @@
 Pseudo-spectral right-hand sides on the circle and on the compactified real
 line (x = tan(q/2)), the 12-stage order-8 DOP853 Runge-Kutta stepper with its
 embedded error estimate, and adaptive runs (simulate). One stage loop takes
-explicit steps and Lawson ones, exact on the circle's diagonal dissipation,
-whose stages write E(c_i)^-1 times the nonlinear term alone into their rows
-of the stage array. A step is the smallest of cfl (default 1: the whole
-interval) times the tableau's stability limit (intervals 5.96 imaginary, 6.39
-negative real) and the stretching limit 1 / max|u_x|, a Lawson stage-growth
-cap set by round-off, and the step DOP853's error estimate asks for; a step
-whose estimate exceeds the tolerance is retried shorter. The number of modes
-doubles whenever the spectral tail rises above round-off.
+explicit steps and Lawson ones. A Lawson step applies the dissipation exactly
+in a frame where it is diagonal: the coefficients themselves on the circle,
+the eigenbasis of the line's nu ((1 + cos q) d_q H^q)^sigma
+(:class:`~gclm.spectral.LineBasis`) on the line; its stages write E(c_i)^-1
+times the nonlinear term alone into their rows of the stage array. A step is
+the smallest of cfl (default 1: the whole interval) times the tableau's
+stability limit (intervals 5.96 imaginary, 6.39 negative real) and the
+stretching limit 1 / max|u_x|, a Lawson stage-growth cap set by round-off,
+and the step DOP853's error estimate asks for; a step whose estimate exceeds
+the tolerance is retried shorter. Circle steps with nu != 0 are Lawson ones;
+a line step is a Lawson one exactly when the explicit limit of the line's
+dissipation would otherwise shorten it (and N <= LINE_LAWSON_N_MAX), else it
+is explicit. The number of modes doubles whenever the spectral tail rises
+above round-off.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from gclm import tracker
+from gclm import spectral, tracker
 from gclm.spectral import (
     FIELDS,
     Domain,
@@ -125,15 +132,23 @@ class Rhs:
 
     The fields come from one stacked inverse transform and the result from
     one forward transform of the nonlinear term, both into work arrays
-    kept between calls. The line's dissipation acts on the coefficients
+    kept between calls. The line's dissipation nu T^sigma,
+    T = (1 + cos q) d_q H^q, acts on the coefficients
     (:meth:`Operators.times_jacobian`), so a call takes 2 transforms, and 4
-    on the line with a != 0, whose velocity takes 2 more. ``diss`` records
-    the dissipation treatment: the diagonal symbol nu |k|^sigma, applied
-    exactly by Lawson steps, on the circle with nu != 0; None elsewhere,
-    where any dissipation is explicit. ``grid`` keeps the grid fields
-    (``names``, in order) of the state last evaluated, which
+    on the line with a != 0, whose velocity takes 2 more. A call without
+    ``scale`` returns the whole right-hand side on both domains. Lawson
+    steps take the dissipation exactly: ``diss`` is its diagonal symbol
+    nu |k|^sigma on the circle with nu != 0 (None elsewhere), and
+    ``line_diss`` its eigenvalues nu lam^sigma in the frame of
+    ``ops.line_basis`` (built on first use) on the line with nu != 0 and
+    N <= LINE_LAWSON_N_MAX (``line_exact``). ``line_limit`` is the explicit
+    stability limit 6.39 / (nu (2N)^sigma) of the line's dissipation, whose
+    T has real eigenvalues in [0, 2N); inf elsewhere. ``grid`` keeps the
+    grid fields (``names``, in order) of the state last evaluated, which
     :func:`adaptive_dt` reads. A :func:`rk8_step` stage passes its row
-    ``out``; a Lawson one also ``scale`` = E(c_i)^-1: scale (rhs + diss c).
+    ``out``; a Lawson one also ``scale`` = E(c_i)^-1 in the frame where the
+    dissipation is diagonal, and gets scale times the nonlinear term alone
+    there: the coefficients on the circle, the basis frame on the line.
     """
 
     def __init__(self, domain: Domain, params: GclmParams, grid_size: int):
@@ -143,33 +158,55 @@ class Rhs:
         self.ops = operators(grid_size, domain)
         #: the grid fields of the nonlinear term (w + omega_av) u_x - a u w_x
         self.names = FIELDS if params.a != 0.0 else FIELDS[:2]
+        line = domain is Domain.LINE and params.nu != 0.0
         #: 0**0 = 1, so sigma = 0 damps the mean too
         self.diss = (params.nu * self.ops.kabs**params.sigma
                      if domain is Domain.CIRCLE and params.nu != 0.0
                      else None)
+        self.line_exact = line and grid_size <= spectral.LINE_LAWSON_N_MAX
+        top = params.nu * (2 * grid_size)**params.sigma  # >= nu lam^sigma
+        self.line_limit = _STAB_REAL / top if line else np.inf
+        # the round-off cap of a Lawson stage (see adaptive_dt)
+        self.lawson_cap = np.inf
+        if self.diss is not None:
+            self.lawson_cap = _LAWSON_GROWTH / (_LAWSON_SPAN
+                                                * np.max(self.diss))
+        elif self.line_exact:
+            self.lawson_cap = _LAWSON_GROWTH / (_LAWSON_SPAN * top)
         self.grid: np.ndarray | None = None
         m = self.ops.grid.size
         self._work = np.empty((len(self.names), m)), np.empty(m), np.empty(m)
+
+    @functools.cached_property
+    def line_diss(self) -> np.ndarray:
+        """nu lam^sigma in the frame of ``ops.line_basis``: the line's
+        dissipation, diagonal there (for use where ``line_exact``)."""
+        p = self.params
+        out = p.nu * self.ops.line_basis.lam**p.sigma
+        out.setflags(write=False)
+        return out
 
     def __call__(self, c: np.ndarray, out: np.ndarray | None = None,
                  scale: np.ndarray | None = None) -> np.ndarray:
         p, ops = self.params, self.ops
         grid, nl, tmp = self._work
+        line = ops.domain is Domain.LINE
         w, ux, *adv = self.grid = ops.fields(c, self.names, out=grid)
         np.multiply(w + p.omega_av if p.omega_av else w, ux, out=nl)
         if adv:  # u, w_x
             nl -= np.multiply(p.a * adv[0], adv[1], out=tmp)
-        res = ops.spec(nl, out=out)
-        if ops.domain is Domain.LINE:
-            if p.nu != 0.0:
-                # sigma rounds of (1 + cos q) d_q H^q (d_q H^q has the
-                # symbol |k|), applied to the coefficients
-                d = c
-                for _ in range(int(round(p.sigma))):
-                    d = ops.times_jacobian(ops.kabs * d)
-                res -= p.nu * d
-        else:
+        res = ops.spec(nl, out=None if line and scale is not None else out)
+        if not line:
             res[0] = 0.0  # exact mean conservation
+        elif scale is not None:  # the nonlinear term in the basis frame
+            res = ops.line_basis.to_frame(res, out=out)
+        elif p.nu != 0.0:
+            # sigma rounds of T, whose d_q H^q has the symbol |k|, applied
+            # to the coefficients
+            d = c
+            for _ in range(int(round(p.sigma))):
+                d = ops.times_jacobian(ops.kabs * d)
+            res -= p.nu * d
         if scale is not None:
             res *= scale
         elif self.diss is not None:
@@ -197,37 +234,57 @@ def rk8_step(c: np.ndarray, dt: float, rhs: Rhs,
     next step's first stage. Sums over K are real weights times its float
     view; one product with the rows b, e5, e3 gives the new state and error.
 
-    ``lin=None`` gives the explicit step. A diagonal symbol ``lin = L``
-    (``Rhs.diss``) gives the Lawson (integrating-factor) step of the same
-    tableau: it integrates v = e^{tL} c, so L is applied exactly and
+    ``lin=None`` gives the explicit step. Otherwise ``lin`` = L is the
+    dissipation, diagonal in a frame, and the step is the Lawson
+    (integrating-factor) step of the same tableau: the circle's symbol
+    ``Rhs.diss``, one entry per coefficient, in the frame of the
+    coefficients themselves; or the line's ``Rhs.line_diss``, one per
+    float entry of the frame of ``rhs.ops.line_basis``, where the stages
+    run and which costs two changes of frame per stage. It integrates
+    v = e^{tL} z, z the frame coordinates, so L is applied exactly and
     imposes no stability limit. With E(s) = exp(-s dt L), stage i is
-    Y_i = E(c_i) (c + dt sum_j a_ij K_j), K_j = E(c_j)^-1 N(Y_j) with N
+    Y_i = E(c_i) (z + dt sum_j a_ij K_j), K_j = E(c_j)^-1 N(Y_j) with N
     the right-hand side less -L Y (``rhs``'s result given a ``scale``),
-    the new state is E(1) (c + dt sum_i b_i K_i), and the error, formed
-    from the K_j in the v frame, is mapped back by E(1) (the last node).
-    Since a_ij != 0 for some c_j > c_i, a stage amplifies mode k by up to
-    exp(dt L_k / 12); the caller bounds dt (see :func:`adaptive_dt`).
+    the new state is E(1) (z + dt sum_i b_i K_i), and the error, formed
+    from the K_j in the v frame, is mapped back by E(1) (the last node) and
+    then to the coefficients. Since a_ij != 0 for some c_j > c_i, a stage
+    amplifies entry k by up to exp(dt L_k / 12); the caller bounds dt (see
+    :func:`adaptive_dt`).
     """
-    k, y = np.empty((RK8_B.size, c.size), complex), np.empty(c.size, complex)
-    kf, yf = k.view(float), y.view(float)
+    f = rhs(c) if f0 is None else f0
+    basis = (None if lin is None or lin.size == c.size
+             else rhs.ops.line_basis)
+    z0 = c if basis is None else basis.to_frame(c)
+    k, z = np.empty((RK8_B.size, z0.size), z0.dtype), np.empty_like(z0)
+    kf, zf = k.view(float), z.view(float)
     a = dt * RK8_A
-    k[0] = rhs(c) if f0 is None else f0
+    if basis is None:
+        k[0] = f
+    else:
+        y = np.empty_like(c)
+        basis.to_frame(f, out=k[0])
     if lin is not None:
-        # E(c_i), E(c_i)^-1, complex (faster); capped so that 0 stays 0
+        # E(c_i), E(c_i)^-1 (complex on the circle: faster); capped so
+        # that 0 stays 0
         x = np.minimum(RK8_C[:, None] * (dt * lin), 700.0)
-        decay, growth = np.exp(-x).astype(complex), np.exp(x).astype(complex)
-        k[0] += lin * c
+        decay = np.exp(-x).astype(z0.dtype)
+        growth = np.exp(x).astype(z0.dtype)
+        k[0] += lin * z0
     for i in range(1, RK8_B.size):
-        np.dot(a[i, :i], kf[:i], out=yf)
-        y += c
+        np.dot(a[i, :i], kf[:i], out=zf)
+        z += z0
         if lin is not None:
-            y *= decay[i]
-        rhs(y, out=k[i], scale=None if lin is None else growth[i])
-    sums = (_RK8_W @ kf).view(complex)  # b, e5, e3 times K
-    out, err = c + dt * sums[0], sums[1:]
+            z *= decay[i]
+        rhs(z if basis is None else basis.from_frame(z, out=y), out=k[i],
+            scale=None if lin is None else growth[i])
+    sums = (_RK8_W @ kf).view(z0.dtype)  # b, e5, e3 times K
+    sums[0] *= dt
+    sums[0] += z0
     if lin is not None:
-        out *= decay[-1]
-        err *= decay[-1]
+        sums *= decay[-1]
+    if basis is not None:
+        sums = [basis.from_frame(row) for row in sums]
+    out, *err = sums
     # scipy's DOP853 error norm at unit scale (the scale s divides it);
     # zero with e5, which is tested first: 0.01 n3 may underflow
     n5, n3 = (np.vdot(e, e).real for e in err)
@@ -248,17 +305,19 @@ def adaptive_dt(rhs: Rhs, cfl: float, dt_max: float = np.inf) -> float:
     it is the only limit besides the round-off cap and the error
     estimate, and collapsing runs need it: without it a circle collapse
     reaches the resolution cap before its fit detects the collapse, and
-    AAA poles move by 0.2 %. Lawson steps (``rhs.diss`` set) have no
-    stability limit from the dissipation. A stage multiplies the round-off
-    of the top mode, about eps max|w_k|, by exp(span dt max diss), with
-    span = 1/12 the largest node gap of the tableau; keeping that below
-    TAIL_TOL max|w_k| caps dt at ln(TAIL_TOL / eps) / (span max diss)
-    (ln(TAIL_TOL / eps) = 8.41), not scaled by cfl. Otherwise the line's
-    dissipation nu ((1 + cos q) d_q H^q)^sigma, whose factor has real
-    eigenvalues in [0, 2N], uses the negative-real interval 6.39.
-    Degenerate pieces (zero coefficient or zero field) impose no limit; a
-    zero field returns dt_max. The error estimate's limit is
-    :func:`simulate`'s.
+    AAA poles move by 0.2 %. Dissipation that Lawson steps can take
+    exactly (``rhs.diss`` or ``rhs.line_exact`` set) has no stability
+    limit. A stage multiplies the round-off of the top mode, about
+    eps max|w_k|, by exp(span dt max L), with span = 1/12 the largest node
+    gap of the tableau; keeping that below TAIL_TOL max|w_k| caps dt at
+    ``rhs.lawson_cap`` = ln(TAIL_TOL / eps) / (span max L)
+    (ln(TAIL_TOL / eps) = 8.41), not scaled by cfl; on the line max L is
+    bounded by nu (2N)^sigma. :func:`simulate` takes the line's step
+    explicitly unless the explicit limit ``rhs.line_limit`` would shorten
+    it; at N > LINE_LAWSON_N_MAX that limit, on the negative-real
+    interval 6.39, is one of the limits here. Degenerate pieces (zero
+    coefficient or zero field) impose no limit; a zero field returns
+    dt_max. The error estimate's limit is :func:`simulate`'s.
     """
     w, ux, *adv = rhs.grid
     if not np.any(w):
@@ -269,11 +328,9 @@ def adaptive_dt(rhs: Rhs, cfl: float, dt_max: float = np.inf) -> float:
     limits = [1.0 / stretch] if stretch > 0 else []
     if speed > 0:
         limits.append(_STAB_IMAG / (speed * rhs.n))
-    if rhs.diss is not None:  # Lawson round-off cap, outside cfl
-        dt_max = min(dt_max, _LAWSON_GROWTH / (_LAWSON_SPAN
-                                               * np.max(rhs.diss)))
-    elif p.nu > 0:
-        limits.append(_STAB_REAL / (p.nu * (2 * rhs.n)**p.sigma))
+    if not rhs.line_exact:
+        limits.append(rhs.line_limit)  # inf off the dissipative line
+    dt_max = min(dt_max, rhs.lawson_cap)  # outside cfl
     return min(cfl * min(limits), dt_max) if limits else dt_max
 
 
@@ -470,10 +527,14 @@ def simulate(initial: SpectralField, params: GclmParams, controls: RunControls,
              observe=None) -> tuple[TimeSeries, SimState]:
     """Integrate to t_end, refining resolution on tail growth.
 
-    Steps are DOP853 order 8 (:func:`rk8_step`), Lawson where
-    ``Rhs.diss`` is set (the circle with nu != 0), explicit elsewhere.
-    Each is the smallest of :func:`adaptive_dt`'s limit, the step the
-    last error estimate asks for (none before the first) and t_end - t.
+    Steps are DOP853 order 8 (:func:`rk8_step`). Each is the smallest of
+    :func:`adaptive_dt`'s limit, the step the last error estimate asks for
+    (none before the first) and t_end - t. It is a Lawson step where
+    ``Rhs.diss`` is set (the circle with nu != 0), and on the line where
+    it is longer than cfl times the explicit limit ``Rhs.line_limit`` of
+    the line's dissipation (only at N <= LINE_LAWSON_N_MAX, where
+    adaptive_dt leaves that limit out); explicit elsewhere, and then the
+    same step, bit for bit, as with no Lawson steps on the line.
     The RHS at each accepted state is evaluated once: it is the next
     step's first stage and gives :func:`adaptive_dt` its fields. A step
     that pushes the top of the spectrum above TAIL_TOL * max|w_k| is
@@ -509,7 +570,10 @@ def simulate(initial: SpectralField, params: GclmParams, controls: RunControls,
     stop = _stop(state, controls.t_end, True, dt_state, cap_tail, fit)
     while stop is None:
         dt = min(dt_state, dt_err, controls.t_end - state.t)
-        step = rk8_step(state.field.coeffs, dt, rhs, rhs.diss, f0)
+        # Lawson on the line only where its explicit limit would bind
+        lin = (rhs.line_diss if dt > controls.cfl * rhs.line_limit
+               else rhs.diss)
+        step = rk8_step(state.field.coeffs, dt, rhs, lin, f0)
         finite = np.all(np.isfinite(step.c))
         if finite:
             trial = SpectralField(step.c, state.field.domain)

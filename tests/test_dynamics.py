@@ -5,13 +5,15 @@ time derivatives (by central differences in t) must match the discretized
 right-hand side, and full runs must track them at the stated tolerances.
 """
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
 from scipy.integrate import DOP853
+from scipy.linalg import expm
 
-from gclm import dynamics, exact, tracker
+from gclm import dynamics, exact, spectral, tracker
 from gclm.collapse import _fit_window
 from gclm.dynamics import (
     _STAB_IMAG,
@@ -176,21 +178,62 @@ class TestTableau:
         assert reused.error == again.error > 0.0
 
 
+def line_dissipation(params, n):
+    """The line's dissipation L = nu T^sigma as a real matrix on the float
+    view of the coefficients, column by column from Rhs's own: the rhs at
+    nu = 0 less the rhs, whose nonlinear terms agree bit for bit."""
+    full = Rhs(Domain.LINE, params, n)
+    inviscid = Rhs(Domain.LINE, dataclasses.replace(params, nu=0.0), n)
+    cols = [(inviscid(e.view(complex)) - full(e.view(complex))).view(float)
+            for e in np.eye(2 * (n + 1))]
+    return np.array(cols).T
+
+
+class LineDissipationRhs:
+    """dc/dt = -L c for the line's L (:func:`line_dissipation`), through
+    rk8_step's stage calls: the nonlinear term switched off, so a Lawson
+    stage (given a scale) gets zero in its frame row."""
+
+    def __init__(self, params, n):
+        self.ops = operators(n, Domain.LINE)
+        self.lin = line_dissipation(params, n)
+
+    def __call__(self, c, out=None, scale=None):
+        f = (np.zeros(2 * c.size) if scale is not None
+             else -(self.lin @ c.view(float)).view(complex))
+        if out is None:
+            return f
+        out[:] = f
+        return out
+
+
 def textbook_step(c, dt, rhs, lin=None):
     """DOP853 written out from the whole right-hand side rhs(y), stage by
     stage: explicit, or Lawson with E(s) = exp(-s dt L) and
     K_i = E(c_i)^-1 (rhs(Y_i) + L Y_i); the new state and the error
-    estimate (scipy's norm, unit scale)."""
-    def e(s):
-        return 1.0 if lin is None else np.exp(-s * dt * lin)
+    estimate (scipy's norm, unit scale). L is a diagonal symbol (one entry
+    per coefficient) or a real matrix on the float view of the
+    coefficients, whose E comes from expm."""
+    if lin is None or lin.ndim == 1:
+        def e(s, v):
+            return v if lin is None else np.exp(-s * dt * lin) * v
+
+        def ly(v):
+            return 0.0 if lin is None else lin * v
+    else:
+        def e(s, v):
+            return (expm(-s * dt * lin) @ v.view(float)).view(complex)
+
+        def ly(v):
+            return (lin @ v.view(float)).view(complex)
 
     k = []
     for a_i, c_i in zip(RK8_A, RK8_C):
-        y = e(c_i) * (c + dt * sum(a * kj for a, kj in zip(a_i, k)))
-        k.append((rhs(y) + (0.0 if lin is None else lin * y)) / e(c_i))
-    new = e(1.0) * (c + dt * sum(b * kj for b, kj in zip(RK8_B, k)))
-    e5 = e(1.0) * sum(w * kj for w, kj in zip(RK8_E5, k))
-    e3 = e(1.0) * sum(w * kj for w, kj in zip(RK8_E3, k))
+        y = e(c_i, c + dt * sum(a * kj for a, kj in zip(a_i, k)))
+        k.append(e(-c_i, rhs(y) + ly(y)))
+    new = e(1.0, c + dt * sum(b * kj for b, kj in zip(RK8_B, k)))
+    e5 = e(1.0, sum(w * kj for w, kj in zip(RK8_E5, k)))
+    e3 = e(1.0, sum(w * kj for w, kj in zip(RK8_E3, k)))
     n5, n3 = np.sum(np.abs(e5)**2), np.sum(np.abs(e3)**2)
     return new, dt * n5 / np.sqrt((n5 + 0.01 * n3) * c.size)
 
@@ -199,18 +242,25 @@ class TestStepAgainstTextbook:
     @pytest.mark.parametrize("n", [16, 64])
     @pytest.mark.parametrize("domain, nu, lawson", [
         (Domain.CIRCLE, 1.0, True), (Domain.CIRCLE, 1.0, False),
-        (Domain.CIRCLE, 0.0, False), (Domain.LINE, 1.0, False)],
-        ids=["circle-lawson", "circle-explicit", "circle-inviscid", "line"])
+        (Domain.CIRCLE, 0.0, False), (Domain.LINE, 1.0, False),
+        (Domain.LINE, 1.0, True)],
+        ids=["circle-lawson", "circle-explicit", "circle-inviscid", "line",
+             "line-lawson"])
     @pytest.mark.parametrize("reuse", [False, True], ids=["no-f0", "f0"])
     def test_step_matches_textbook_formulas(self, n, domain, nu, lawson,
                                             reuse):
-        rhs = Rhs(domain, GclmParams(a=0.5, sigma=1.0, nu=nu), n)
+        params = GclmParams(a=0.5, sigma=1.0, nu=nu)
+        rhs = Rhs(domain, params, n)
         # random data, and a step that changes it by about 10 %
         c = random_coeffs(n, seed=n) * np.exp(-0.2 * np.arange(n + 1))
-        lin = rhs.diss if lawson else None
+        lin = textbook_lin = None
+        if lawson and domain is Domain.CIRCLE:
+            lin = textbook_lin = rhs.diss
+        elif lawson:
+            lin, textbook_lin = rhs.line_diss, line_dissipation(params, n)
         dt = 0.1 * np.max(np.abs(c)) / np.max(np.abs(rhs(c)))
         step = rk8_step(c, dt, rhs, lin, rhs(c) if reuse else None)
-        new, err = textbook_step(c, dt, rhs, lin)
+        new, err = textbook_step(c, dt, rhs, textbook_lin)
         assert np.max(np.abs(step.c - new)) <= 1e-14 * np.max(np.abs(new))
         # the estimate is a cancelling sum of the stages: its round-off is
         # about 1e-9 of it here (the estimates are 1e-11 to 1e-7)
@@ -287,6 +337,21 @@ class TestLawsonStep:
         got = rk8_step(c0, h, DiagonalRhs(lin), lin)
         assert np.max(np.abs(got.c - np.exp(-h * lin) * c0)) <= 1e-14
         assert got.error == 0.0
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("sigma", [1, 2])
+    def test_line_linear_part_is_exp_of_the_dissipation(self, n, sigma):
+        # the nonlinear term switched off: one Lawson step is
+        # expm(-h L) c for the line's non-diagonal L, even at the largest
+        # step the round-off cap allows
+        params = GclmParams(a=0.0, sigma=sigma, nu=0.7)
+        rhs = Rhs(Domain.LINE, params, n)
+        dissipation = LineDissipationRhs(params, n)
+        c = random_coeffs(n, seed=sigma) * np.exp(-0.1 * np.arange(n + 1))
+        h = rhs.lawson_cap
+        got = rk8_step(c, h, dissipation, rhs.line_diss)
+        want = (expm(-h * dissipation.lin) @ c.view(float)).view(complex)
+        assert np.max(np.abs(got.c - want)) <= 1e-12 * np.max(np.abs(c))
 
     def test_zero_field_stays_zero_at_any_step(self):
         # exp(-dt L) underflows to 0 here; the step must not form 0/0
@@ -985,9 +1050,9 @@ class TestSimulate:
 
     @pytest.mark.parametrize("cfl", [0.5, 1.0])
     def test_line_steps_stay_stable_up_to_cfl_one(self, cfl):
-        # sigma = 2 on the line: the dissipation limit binds, and a step
-        # outside the stability interval would read as tail growth and
-        # refine
+        # sigma = 2 on the line: the dissipation limit would bind, so the
+        # steps are Lawson ones; a step outside the stability interval
+        # would read as tail growth and refine
         st = exact.SchochetState()
         t1 = 0.5 * st.classify().t_c
         series, state = simulate(st.field(64), st.gclm_params(),
@@ -998,6 +1063,113 @@ class TestSimulate:
         ref = st.advance(state.t).field(64).values()
         err = np.max(np.abs(state.field.values() - ref)) / np.max(np.abs(ref))
         assert err <= 1e-12
+
+    @pytest.mark.parametrize("cfl", [0.5, 1.0])
+    def test_explicit_line_steps_stay_stable_up_to_cfl_one(self, cfl,
+                                                           monkeypatch):
+        # the same run without the basis: every step is explicit and at
+        # the dissipation limit cfl * 6.39 / (2N)^2
+        monkeypatch.setattr(spectral, "LINE_LAWSON_N_MAX", 0)
+        st = exact.SchochetState()
+        t1 = 0.5 * st.classify().t_c
+        steps = treatment_steps(monkeypatch)
+        series, state = simulate(st.field(64), st.gclm_params(),
+                                 RunControls(t_end=t1, n0=64, cfl=cfl))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert state.n_refinements == 0
+        assert not any(lawson for _, _, lawson in steps)
+        limit = cfl * Rhs(Domain.LINE, st.gclm_params(), 64).line_limit
+        assert len(steps) == state.step
+        assert [dt for _, dt, _ in steps[:-1]] == [limit] * (state.step - 1)
+        ref = st.advance(state.t).field(64).values()
+        err = np.max(np.abs(state.field.values() - ref)) / np.max(np.abs(ref))
+        assert err <= 1e-12
+
+
+def treatment_steps(monkeypatch):
+    """Wrap dynamics.rk8_step; returns the list it fills with the
+    (N, dt, Lawson or not) of every attempted step."""
+    steps = []
+
+    def recorded(c, dt, rhs, lin=None, f0=None):
+        steps.append((rhs.n, dt, lin is not None))
+        return rk8_step(c, dt, rhs, lin, f0)
+
+    monkeypatch.setattr(dynamics, "rk8_step", recorded)
+    return steps
+
+
+def line_run_error(state, t0, final):
+    """Relative sup error of a run from state.advance(t0) at its end."""
+    ref = state.advance(t0 + final.t).field(final.field.grid_size).values()
+    return np.max(np.abs(final.field.values() - ref)) / np.max(np.abs(ref))
+
+
+class TestLineLawsonChoice:
+    """A line step is Lawson exactly when the explicit limit of the line's
+    dissipation would shorten it, and only at N <= LINE_LAWSON_N_MAX."""
+
+    def test_schochet_run_takes_lawson_steps(self, monkeypatch):
+        # the benchmark's run: sigma = 2, every explicit step would sit at
+        # the dissipation limit (48 steps)
+        st = exact.SchochetState()
+        steps = treatment_steps(monkeypatch)
+        series, final = simulate(st.field(64), st.gclm_params(),
+                                 RunControls(t_end=0.5 * st.classify().t_c,
+                                             n0=64))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert final.step <= 20 and final.n_refinements == 0
+        rhs = Rhs(Domain.LINE, st.gclm_params(), 64)
+        assert [lawson for _, _, lawson in steps] == [
+            dt > rhs.line_limit for _, dt, _ in steps]
+        assert sum(lawson for _, _, lawson in steps) >= final.step - 1
+        assert line_run_error(st, 0.0, final) <= 1e-12
+
+    def test_advection_bound_run_is_unchanged(self, monkeypatch, tmp_path):
+        # the double pole (a = 1/2, sigma = 1) is bound by advection: its
+        # run takes no Lawson step and writes the same series without the
+        # basis
+        st = exact.DoublePoleState(omega_m2_0=4.0)
+        args = (st.field(64), st.gclm_params(),
+                RunControls(t_end=0.25 * st.classify().t_c, n0=64))
+        steps = treatment_steps(monkeypatch)
+        series, final = simulate(*args)
+        assert final.n_refinements == 1
+        assert not any(lawson for _, _, lawson in steps)
+        monkeypatch.setattr(spectral, "LINE_LAWSON_N_MAX", 0)
+        series_0, final_0 = simulate(*args)
+        series.to_csv(tmp_path / "series.csv")
+        series_0.to_csv(tmp_path / "series_0.csv")
+        assert ((tmp_path / "series.csv").read_bytes()
+                == (tmp_path / "series_0.csv").read_bytes())
+        assert np.array_equal(final.field.coeffs, final_0.field.coeffs)
+
+    def test_refined_run_steps_explicitly_above_the_cap(self, monkeypatch):
+        # at 0.9 t_c the Schochet field's tail at N = 256 is 3e-12 of its
+        # peak: the first trial refines to 512, which has no basis
+        st = exact.SchochetState()
+        t0 = 0.9 * st.classify().t_c
+        steps = treatment_steps(monkeypatch)
+        series, final = simulate(st.advance(t0).field(256), st.gclm_params(),
+                                 RunControls(t_end=5e-5, n0=256, n_max=512))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert final.n_refinements == 1 and final.field.grid_size == 512
+        at_512 = [lawson for n, _, lawson in steps if n == 512]
+        assert len(at_512) == final.step > 0 and not any(at_512)
+        assert "line_basis" not in vars(operators(512, Domain.LINE))
+        assert line_run_error(st, t0, final) <= 1e-12
+
+    def test_criterion_01_run_takes_at_most_60_attempts(self, monkeypatch):
+        # criterion 01 (N = 256 to half the collapse time): 753 explicit
+        # steps, 48 Lawson ones
+        st = exact.SchochetState()
+        steps = treatment_steps(monkeypatch)
+        series, final = simulate(st.field(256), st.gclm_params(),
+                                 RunControls(t_end=0.5 * st.classify().t_c,
+                                             n0=256))
+        assert series.terminal_status is TerminalStatus.REACHED_T_END
+        assert len(steps) <= 60
+        assert line_run_error(st, 0.0, final) <= 1e-12
 
     @pytest.mark.parametrize("kwargs", [
         {"t_end": 0.0}, {"cfl": -1.0}, {"cfl": 1.5}, {"n0": 128, "n_max": 64},

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gclm import spectral
 from gclm.spectral import (
     FIELDS,
+    LINE_LAWSON_N_MAX,
     Domain,
     GclmParams,
+    Operators,
     SpectralField,
     norms,
     operators,
@@ -311,6 +314,61 @@ class TestLineOperators:
         assert np.array_equal(f, f_in)
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_line_basis_diagonalises_the_dissipation_factor(self, n):
+        # T c = times_jacobian(|k| c) is V diag(lam) V^-1 c, with Im c_0
+        # and Im c_N in T's kernel; random data fill them
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n + 1) + 1j * rng.standard_normal(n + 1)
+        ops = operators(n, Domain.LINE)
+        basis = ops.line_basis
+        ref = ops.times_jacobian(ops.kabs * c)
+        got = basis.from_frame(basis.lam * basis.to_frame(c))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        back = basis.from_frame(basis.to_frame(c))
+        assert np.max(np.abs(back - c)) <= 1e-13 * np.max(np.abs(c))
+        # real and within the bound adaptive_dt uses, 2N; e_0, Im c_0 and
+        # Im c_N are the kernel
+        assert basis.lam.dtype == float and basis.lam.size == 2 * (n + 1)
+        assert 0.0 <= np.min(basis.lam) and np.max(basis.lam) < 2.0 * n
+        assert np.count_nonzero(basis.lam == 0.0) == 3
+
+    @pytest.mark.parametrize("n, seed", [(2, 0), (9, 1), (64, 2)])
+    def test_tridiagonal_eigensolver_matches_eigh(self, n, seed):
+        # random symmetric tridiagonal matrices, indefinite; numpy's eigh
+        # (LAPACK) is the judge
+        rng = np.random.default_rng(seed)
+        d, e = rng.standard_normal(n), rng.standard_normal(n - 1)
+        b = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+        lam, q = spectral._eigh_tridiagonal(d, e)
+        want = np.linalg.eigvalsh(b)
+        assert np.max(np.abs(lam - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.max(np.abs(b @ q - q * lam)) <= 1e-14 * np.max(np.abs(b)) * n
+        assert np.max(np.abs(q.T @ q - np.eye(n))) <= 1e-14
+
+    def test_tridiagonal_eigensolver_finds_a_zero_eigenvalue(self):
+        # [[1, 1], [1, 1]] has eigenvalues 0 and 2
+        lam, q = spectral._eigh_tridiagonal(np.ones(2), np.ones(1))
+        assert abs(lam[0]) <= 1e-15 and lam[1] == pytest.approx(2.0, abs=1e-15)
+        assert np.allclose(np.abs(q), np.sqrt(0.5), rtol=0, atol=1e-15)
+
+    def test_line_basis_is_built_on_first_use_and_read_only(self):
+        ops = Operators(32, Domain.LINE)  # a table outside the cache
+        assert "line_basis" not in vars(ops)
+        basis = ops.line_basis
+        assert ops.line_basis is basis and "line_basis" in vars(ops)
+        for arr in vars(basis).values():
+            assert not arr.flags.writeable
+        assert operators(32, Domain.LINE).line_basis is \
+            operators(32, Domain.LINE).line_basis
+
+    @pytest.mark.parametrize("n, domain", [(64, Domain.CIRCLE),
+                                           (2 * LINE_LAWSON_N_MAX,
+                                            Domain.LINE)])
+    def test_no_line_basis_on_the_circle_or_above_the_cap(self, n, domain):
+        with pytest.raises(ValueError):
+            Operators(n, domain).line_basis
+
     def test_line_velocity_boundary_condition(self):
         f = random_real_field(11, domain=Domain.LINE)
         (vals,) = f.ops.fields(f.coeffs, ("u",))
@@ -458,6 +516,42 @@ class TestSnapshots:
         text = V1_N8.replace("# gclm-field v1 domain=circle t=0.375", header)
         with pytest.raises(ValueError):
             read_snapshot(io.StringIO(text))
+
+    @pytest.mark.parametrize("cut", ["last_number", "last_line", "half"])
+    def test_truncated_file_is_rejected(self, cut):
+        lines = V1_N8.splitlines()
+        if cut == "last_number":
+            lines[-1] = lines[-1].split()[0]
+        else:
+            del lines[-1 if cut == "last_line" else -8:]
+        with pytest.raises(ValueError, match="numbers"):
+            read_snapshot(io.StringIO("\n".join(lines) + "\n"))
+
+    @pytest.mark.parametrize("extra", ["0.0\n", "0.0 0.0\n"],
+                             ids=["token", "line"])
+    def test_extra_tokens_are_rejected(self, extra):
+        with pytest.raises(ValueError, match="numbers"):
+            read_snapshot(io.StringIO(V1_N8 + extra))
+        lines = V1_N8.splitlines()
+        lines[5] += " " + extra.strip()
+        with pytest.raises(ValueError, match="numbers"):
+            read_snapshot(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_write_is_one_write(self):
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                Counting.writes += 1
+                return super().write(text)
+
+        f = random_real_field(19, n=1024, domain=Domain.LINE)
+        buf = Counting()
+        write_snapshot(f, 0.5, buf)
+        assert Counting.writes == 1
+        g, t = read_snapshot(io.StringIO(buf.getvalue()))
+        assert (g.grid_size, g.domain, t) == (512, Domain.LINE, 0.5)
+        assert g.coeffs.tobytes() == f.coeffs.tobytes()
 
     def test_header_names_domain_and_time(self):
         f = random_real_field(17)
